@@ -4,12 +4,16 @@ The primitive set is exactly what the model needs: matmul, add, elementwise
 product, reductions, reshaping, gather/select, ReLU, GELU, softplus, softmax,
 layer norm, dropout, embedding lookup, block-repeat scaling, concatenation,
 and cross-entropy. Every primitive carries its own backward closure; gradients
-accumulate into ``.grad`` so micro-batch accumulation works without extra
-bookkeeping.
+accumulate into leaves' ``.grad`` so micro-batch accumulation works without
+extra bookkeeping. ``backward`` consumes the graph it walks, freeing each
+interior node as soon as it has propagated, and inside ``no_grad()`` no graph
+is recorded at all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from typing import Callable, Sequence
 
@@ -37,6 +41,7 @@ __all__ = [
     "repeat_blocks",
     "cross_entropy",
     "backward",
+    "no_grad",
     "computation_record",
     "finite_diff_check",
 ]
@@ -46,6 +51,8 @@ LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_GRAD_ENABLED = contextvars.ContextVar("cmhl_grad_enabled", default=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -198,8 +205,24 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
+    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires, _parents=parents if requires else (), op=op)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Results of primitives carry ``requires_grad=False``, no parents and no
+    backward closure, so forward-only passes hold no memory for a backward
+    that never runs. Leaves keep their own ``requires_grad``. The previous
+    mode is restored on exit, also after an exception and when nested.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -233,8 +256,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
                 a._ensure_grad()[...] += _unbroadcast(ga, a.shape)
             if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
-                b._ensure_grad()[...] += _unbroadcast(gb, b.shape)
+                if b.data.ndim == 2 and a.data.ndim > 2:
+                    # [..., d] @ [d, k]: one GEMM over all leading rows instead
+                    # of a [..., d, k] temporary summed down afterwards
+                    rows = a.data.reshape(-1, a.data.shape[-1])
+                    gb = rows.T @ out.grad.reshape(-1, out.grad.shape[-1])
+                else:
+                    gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), out.grad), b.shape)
+                b._ensure_grad()[...] += gb
 
         out._backward = back
     return out
@@ -447,14 +476,30 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every tensor the scalar ``loss`` depends on."""
+    """Accumulate d loss / d leaf into ``.grad`` of every leaf ``loss`` depends on.
+
+    The graph is consumed: once an interior node has propagated, its
+    ``.grad``, backward closure and parents are dropped, which breaks the
+    node <-> closure reference cycle, so the graph is freed by reference
+    counting while the walk proceeds. Only leaves keep ``.grad``. Calling
+    ``backward`` again on any part of a consumed graph raises RuntimeError.
+    """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
+    for node in order:
+        if node.requires_grad and node.op != "leaf" and node._backward is None:
+            raise RuntimeError(
+                f"backward reached a {node.op!r} node whose graph an earlier backward already consumed"
+            )
     loss._ensure_grad()[...] += 1.0
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward()
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
 
 def computation_record(root: Tensor) -> list[tuple[str, tuple[int, ...], int]]:
@@ -482,8 +527,9 @@ def finite_diff_check(
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ConfigError(f"eps must lie in [1e-7, 1e-3], got {eps}")
-    first = np.array(fn(point).data, copy=True)
-    second = fn(point).data
+    with no_grad():
+        first = np.array(fn(point).data, copy=True)
+        second = fn(point).data
     if not np.array_equal(first, second):
         raise DeterminismError("fn produced different values on identical inputs")
 
@@ -494,14 +540,15 @@ def finite_diff_check(
 
     flat = point.data.reshape(-1)
     numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + eps
-        f_plus = float(fn(point).data)
-        flat[i] = saved - eps
-        f_minus = float(fn(point).data)
-        flat[i] = saved
-        numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+    with no_grad():
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            f_plus = float(fn(point).data)
+            flat[i] = saved - eps
+            f_minus = float(fn(point).data)
+            flat[i] = saved
+            numeric[i] = (f_plus - f_minus) / (2.0 * eps)
 
     denom = np.maximum(1.0, np.abs(analytic.reshape(-1)))
     return float(np.max(np.abs(analytic.reshape(-1) - numeric) / denom)) if flat.size else 0.0

@@ -222,16 +222,25 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, lr: float) -> float:
 
 
 def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig):
-    """Argmax predictions and max-probability confidences, batched, eval mode."""
-    preds, confs = [], []
-    for start in range(0, len(examples), config.batch_size):
-        chunk = examples[start : start + config.batch_size]
-        seq = min(config.max_seq_len, 1 + max(len(tokenize(ex.text)) for ex in chunk))
-        batch = encode_batch(chunk, vocab, max(seq, 2))
-        probs = model.primary_probs(model.forward(batch)).data
-        preds.append(probs.argmax(axis=1))
-        confs.append(probs.max(axis=1))
-    return np.concatenate(preds), np.concatenate(confs)
+    """Argmax predictions and max-probability confidences, in input order.
+
+    Eval mode without a graph. Batches are taken in order of token count
+    (stable), so each pads only to the longest of near-equal lengths; results
+    are scattered back to the order of ``examples``.
+    """
+    lengths = np.array([len(tokenize(ex.text)) for ex in examples], dtype=np.intp)
+    order = np.argsort(lengths, kind="stable")
+    preds = np.empty(len(examples), dtype=np.intp)
+    confs = np.empty(len(examples))
+    with T.no_grad():
+        for start in range(0, len(examples), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
+            batch = encode_batch([examples[i] for i in idx], vocab, max(seq, 2))
+            probs = model.primary_probs(model.forward(batch)).data
+            preds[idx] = probs.argmax(axis=1)
+            confs[idx] = probs.max(axis=1)
+    return preds, confs
 
 
 def _f1_recall(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):

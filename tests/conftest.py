@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic corpora with learnable token-class structure."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -41,6 +42,16 @@ def synthetic_emotion_examples(n: int, seed: int, schema: AffectSchema) -> list[
             )
         )
     return examples
+
+
+def mixed_length_examples(examples: list[LabeledExample]) -> list[LabeledExample]:
+    """The same examples cut or repeated to 1..14 tokens in scrambled order,
+    so that batching by length permutes them."""
+    out = []
+    for i, ex in enumerate(examples):
+        words = ex.text.split() * 14
+        out.append(dataclasses.replace(ex, text=" ".join(words[: 1 + (i * 5) % 14])))
+    return out
 
 
 def contradiction_examples(n: int, seed: int, schema: AffectSchema) -> list[LabeledExample]:

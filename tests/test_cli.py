@@ -1,12 +1,14 @@
 """Command-line behavior: derivation, training artifacts, eval, exit codes."""
 
+import csv
 import json
 
 import pytest
 
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from cmhl.training import load_checkpoint, model_from_checkpoint, predict
 
-from conftest import synthetic_emotion_examples, write_corpus_jsonl
+from conftest import mixed_length_examples, synthetic_emotion_examples, write_corpus_jsonl
 
 
 def write_lines(path, rows):
@@ -201,12 +203,26 @@ class TestEval:
         assert rc == EXIT_DATA
         assert "nostalgia" in capsys.readouterr().err
 
-    def test_dump_predictions(self, tmp_path, corpus, trained):
+    def test_dump_predictions(self, tmp_path, corpus, trained, default_schema):
+        # mixed lengths, so eval's length-sorted batches permute the corpus
+        examples = mixed_length_examples(synthetic_emotion_examples(40, 9, default_schema))
+        write_corpus_jsonl(tmp_path / "mixed.jsonl", examples, default_schema)
         out = tmp_path / "preds.csv"
-        main(["eval", str(trained), str(corpus), "--dump-predictions", str(out)])
-        lines = out.read_text().splitlines()
-        assert lines[0] == "index,true_label,predicted_label,confidence"
-        assert len(lines) == 97
+        rc = main(["eval", str(trained), str(tmp_path / "mixed.jsonl"), "--dump-predictions", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_text().splitlines()[0] == "index,true_label,predicted_label,confidence"
+        ckpt = load_checkpoint(trained)
+        model = model_from_checkpoint(ckpt)
+        names = default_schema.taxonomy.emotions
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(examples)
+        for i, (row, ex) in enumerate(zip(rows, examples)):
+            pred, conf = predict(model, [ex], ckpt.vocab, ckpt.train_config)
+            assert row["index"] == str(i)
+            assert row["true_label"] == names[ex.emotion]
+            assert row["predicted_label"] == names[pred[0]]
+            assert float(row["confidence"]) == pytest.approx(conf[0], abs=1e-9)
 
     def test_output_file(self, tmp_path, corpus, trained):
         out = tmp_path / "metrics.json"

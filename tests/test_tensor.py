@@ -1,6 +1,8 @@
 """Core tensor and autodiff behavior: closed-form values, linearity, finite differences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +123,109 @@ class TestBackward:
         T.backward(x * x)
         T.backward(x * x)
         assert x.grad == pytest.approx(8.0)
+
+
+class TestGraphLifetime:
+    def test_backward_frees_interior_nodes(self):
+        rng = np.random.default_rng(5)
+        x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = T.tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        gc.disable()
+        try:
+            h = T.matmul(x, w)
+            act = T.gelu(h)
+            loss = (act * h).sum()
+            h_data = weakref.ref(h.data)
+            del h
+            T.backward(loss)
+            assert act.grad is None
+            assert loss.grad is None
+            assert x.grad is not None and w.grad is not None
+            del act, loss
+            # no cyclic collection: reference counting alone frees the graph
+            assert h_data() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_on_consumed_graph_raises(self):
+        x = T.tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        T.backward(loss)
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_backward_through_consumed_subgraph_raises(self):
+        x = T.tensor([1.0, 2.0], requires_grad=True)
+        y = x * x
+        T.backward(y.sum())
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.backward((y * 3.0).sum())
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+class TestNoGrad:
+    def test_nodes_record_no_graph(self):
+        x = T.tensor([[1.0, 2.0]], requires_grad=True)
+        w = T.tensor([[1.0], [3.0]], requires_grad=True)
+        with T.no_grad():
+            outs = [x * 2.0, T.matmul(x, w), T.softmax(x), (x + x).sum()]
+            leaf = T.tensor(1.0, requires_grad=True)
+        for out in outs:
+            assert not out.requires_grad
+            assert out._backward is None
+            assert out._parents == ()
+        assert leaf.requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_mode_restored_after_exception(self):
+        x = T.tensor(1.0, requires_grad=True)
+        with pytest.raises(ValueError):
+            with T.no_grad():
+                raise ValueError("inside")
+        assert (x * x).requires_grad
+
+    def test_mode_restored_after_nesting(self):
+        x = T.tensor(1.0, requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not (x * x).requires_grad
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
+
+class TestMatmulWeightGradient:
+    """``[..., d] @ [d, k]`` takes the weight gradient as one GEMM over all rows."""
+
+    rng = np.random.default_rng(11)
+
+    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_matches_batched_then_summed(self, a_shape):
+        a_data = self.rng.normal(size=a_shape)
+        b_data = self.rng.normal(size=(4, 2))
+        upstream = self.rng.normal(size=a_shape[:-1] + (2,))
+        a = T.tensor(a_data, requires_grad=True)
+        b = T.tensor(b_data, requires_grad=True)
+        T.backward((T.matmul(a, b) * T.tensor(upstream)).sum())
+        batched = np.matmul(a_data.swapaxes(-1, -2), upstream)
+        np.testing.assert_allclose(b.grad, batched.reshape(-1, 4, 2).sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad, np.matmul(upstream, b_data.T), rtol=0, atol=1e-12)
+
+    def test_finite_differences_both_operands(self):
+        a = T.tensor(self.rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = T.tensor(self.rng.normal(size=(4, 2)), requires_grad=True)
+        w = T.tensor(self.rng.normal(size=(2, 3, 2)))
+        _check(lambda t: (T.matmul(t, b) * w).sum(), a)
+        _check(lambda t: (T.matmul(a, t) * w).sum(), b)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (2, 4, 2)), ((2, 3, 4), (1, 4, 2))])
+    def test_broadcast_weight_takes_general_path(self, a_shape, b_shape):
+        a = T.tensor(self.rng.normal(size=a_shape), requires_grad=True)
+        b = T.tensor(self.rng.normal(size=b_shape), requires_grad=True)
+        w = T.tensor(self.rng.normal(size=np.broadcast_shapes(a_shape[:-1] + (2,), b_shape[:-2] + (1, 2))))
+        _check(lambda t: (T.matmul(t, b) * w).sum(), a)
+        _check(lambda t: (T.matmul(a, t) * w).sum(), b)
+        assert b.grad.shape == b_shape
 
 
 class TestComputationRecord:

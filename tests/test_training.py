@@ -21,13 +21,14 @@ from cmhl.training import (
     load_checkpoint,
     lr_at,
     model_from_checkpoint,
+    predict,
     save_checkpoint,
     select_checkpoint,
     train,
     write_metrics_csv,
 )
 
-from conftest import synthetic_emotion_examples
+from conftest import mixed_length_examples, synthetic_emotion_examples
 
 
 def scalar_state():
@@ -201,6 +202,19 @@ def tiny_model_and_corpus(default_schema, n=32, seed=0):
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16, dropout=0.0)
     model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=seed)
     return model, vocab, examples
+
+
+class TestPredict:
+    def test_mixed_lengths_come_back_in_input_order(self, default_schema):
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=30, seed=2)
+        examples = mixed_length_examples(examples)
+        config = TrainConfig(batch_size=4, max_seq_len=16)
+        preds, confs = predict(model, examples, vocab, config)
+        singles = [predict(model, [ex], vocab, config) for ex in examples]
+        np.testing.assert_array_equal(preds, [p[0] for p, _ in singles])
+        # padding to a longer batch moves confidences only at the last-bit level
+        np.testing.assert_allclose(confs, [c[0] for _, c in singles], rtol=0, atol=1e-15)
+        assert np.ptp(confs) > 1e-6
 
 
 class TestTrainLoop:
