@@ -8,12 +8,11 @@ thresholds driven by their distance in valence-arousal space.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, read_json_object
 
 VALENCE_LABELS = ("positive", "negative", "neutral")
 INTENSITY_LABELS = ("high", "low")
@@ -183,14 +182,7 @@ class AffectSchema:
 
     @classmethod
     def default(cls) -> "AffectSchema":
-        return cls.build(
-            emotions=DEFAULT_EMOTIONS,
-            positive=("joy", "love"),
-            negative=("sadness", "anger", "fear"),
-            coords=DEFAULT_COORDS,
-            tau0=DEFAULT_TAU0,
-            scale=DEFAULT_SCALE,
-        )
+        return cls.from_jsonable({})
 
     @classmethod
     def build(cls, emotions, positive, negative, coords, tau0, scale, high=None) -> "AffectSchema":
@@ -219,10 +211,11 @@ class AffectSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AffectSchema":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"schema file {path} is not valid JSON: {exc}") from None
+        return cls.from_jsonable(read_json_object(path, "schema"))
+
+    @classmethod
+    def from_jsonable(cls, raw: dict) -> "AffectSchema":
+        """Inverse of ``to_jsonable``; absent fields take the default schema's values."""
         known = {"emotions", "positive", "negative", "coords", "tau0", "scale", "high"}
         unknown = set(raw) - known
         if unknown:
@@ -236,6 +229,10 @@ class AffectSchema:
             scale=raw.get("scale", DEFAULT_SCALE),
             high=raw.get("high"),
         )
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.taxonomy.emotions
 
     def to_jsonable(self) -> dict:
         return {

@@ -9,6 +9,7 @@ variable CMHL_SEED overrides the configured seed. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -17,27 +18,19 @@ import time
 from pathlib import Path
 
 from .affect import INTENSITY_LABELS, VALENCE_LABELS, AffectSchema, LossWeights
-from .data import (
-    MHLabelSchema,
-    build_vocab,
-    default_lexicon,
-    load_corpus,
-    load_mh_corpus,
-    load_synonyms,
-    split_examples,
-)
+from .data import build_vocab, default_lexicon, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, NumericError
-from .heads import EmotionModel
-from .mh import MHModel
+from .errors import ConfigError, DataError, NumericError, read_json_object
 from .training import (
+    TASKS,
     Checkpoint,
     TrainConfig,
     accuracy,
     evaluate,
     load_checkpoint,
     model_from_checkpoint,
+    predict,
     save_checkpoint,
     train,
     write_metrics_csv,
@@ -50,37 +43,37 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-TASKS = ("emotion", "mental_health")
-
-_PATH_KEYS = {"train", "validation", "schema", "lexicon", "output"}
-_TOP_KEYS = {"task", "seed", "paths", "train", "encoder", "loss_weights", "vocab_min_freq"}
+_PATH_KEYS = ("train", "validation", "schema", "lexicon", "output")
 
 
 @dataclasses.dataclass
 class RunConfig:
+    """A resolved run config; ``dataclasses.asdict`` of it is the summary's ``config``."""
+
     task: str
     seed: int
     paths: dict[str, str | None]
-    train_config: TrainConfig
-    encoder_config: EncoderConfig
+    train: TrainConfig
+    encoder: EncoderConfig
     loss_weights: LossWeights
     vocab_min_freq: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "paths": self.paths,
-            "train": self.train_config.to_jsonable(),
-            "encoder": self.encoder_config.to_jsonable(),
-            "loss_weights": dataclasses.asdict(self.loss_weights),
-            "vocab_min_freq": self.vocab_min_freq,
-        }
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
 
 
-def _apply_overrides(base, overrides: dict, section: str):
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _apply_overrides(base, overrides, section: str):
     allowed = {f.name for f in dataclasses.fields(base)}
-    unknown = set(overrides) - allowed
+    unknown = set(_object(overrides, section)) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {section!r} section: {sorted(unknown)}")
     if section == "train" and "seed" in overrides:
@@ -89,44 +82,39 @@ def _apply_overrides(base, overrides: dict, section: str):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    unknown = set(raw) - _TOP_KEYS
+    raw = read_json_object(path, "config")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     task = raw.get("task", "emotion")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
 
     paths = dict.fromkeys(_PATH_KEYS)
-    paths.update(raw.get("paths", {}))
-    if set(paths) - _PATH_KEYS:
-        raise ConfigError(f"unknown keys in 'paths': {sorted(set(paths) - _PATH_KEYS)}")
+    paths.update(_object(raw.get("paths", {}), "paths"))
+    if set(paths) - set(_PATH_KEYS):
+        raise ConfigError(f"unknown keys in 'paths': {sorted(set(paths) - set(_PATH_KEYS))}")
 
-    preset = TrainConfig.emotion_preset() if task == "emotion" else TrainConfig.mental_health_preset()
-    train_config = _apply_overrides(preset, raw.get("train", {}), "train")
+    train_config = _apply_overrides(TASKS[task].preset(), raw.get("train", {}), "train")
     encoder_config = _apply_overrides(EncoderConfig(), raw.get("encoder", {}), "encoder")
     loss_weights = _apply_overrides(LossWeights(), raw.get("loss_weights", {}), "loss_weights")
 
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
-    train_config = dataclasses.replace(train_config, seed=seed)
 
     return RunConfig(
         task=task,
         seed=seed,
         paths=paths,
-        train_config=train_config,
-        encoder_config=encoder_config,
+        train=dataclasses.replace(train_config, seed=seed),
+        encoder=encoder_config,
         loss_weights=loss_weights,
-        vocab_min_freq=int(raw.get("vocab_min_freq", 1)),
+        vocab_min_freq=_integer(raw.get("vocab_min_freq", 1), "vocab_min_freq"),
     )
 
 
@@ -135,45 +123,25 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def cmd_derive_labels(args) -> int:
     schema = AffectSchema.from_json(args.schema) if args.schema else AffectSchema.default()
-    in_path, out_path = Path(args.input), Path(args.output)
-    lines_out: list[str] = []
-    rejected: list[tuple[int, str]] = []
-    with open(in_path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                label = obj.get("label")
-                if isinstance(label, str):
-                    emotion = schema.taxonomy.index(label)
-                elif isinstance(label, int):
-                    emotion = schema.taxonomy.check_index(label)
-                else:
-                    raise DataError(f"label missing or malformed: {label!r}")
-                obj.pop("valence", None)
-                obj.pop("intensity", None)
-                obj["valence"] = VALENCE_LABELS[schema.derive_valence(emotion)]
-                obj["intensity"] = INTENSITY_LABELS[schema.derive_intensity(emotion)]
-                lines_out.append(json.dumps(obj))
-            except (json.JSONDecodeError, DataError) as exc:
-                rejected.append((line_no, str(exc)))
+
+    def derive(obj: dict) -> str:
+        emotion = label_index(obj.get("label"), schema.names, "emotion")
+        obj.pop("valence", None)
+        obj.pop("intensity", None)
+        obj["valence"] = VALENCE_LABELS[schema.derive_valence(emotion)]
+        obj["intensity"] = INTENSITY_LABELS[schema.derive_intensity(emotion)]
+        return json.dumps(obj)
+
+    lines_out, rejected = scan_jsonl(args.input, derive)
     for line_no, reason in rejected:
         print(f"rejected line {line_no}: {reason}", file=sys.stderr)
     if rejected and not args.skip_bad:
         raise DataError(f"{len(rejected)} rejected line(s); rerun with --skip-bad to drop them")
+    out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines_out) + ("\n" if lines_out else ""))
     print(f"wrote {len(lines_out)} labeled lines to {out_path}")
     return EXIT_OK
-
-
-def _load_task_corpus(path, cfg: RunConfig, schema, labels):
-    if cfg.task == "emotion":
-        examples, _ = load_corpus(path, schema)
-    else:
-        examples, _ = load_mh_corpus(path, labels)
-    return examples
 
 
 def cmd_train(args) -> int:
@@ -182,55 +150,43 @@ def cmd_train(args) -> int:
         raise ConfigError("config must set paths.train")
     if not cfg.paths.get("output"):
         raise ConfigError("config must set paths.output")
-    if cfg.train_config.max_seq_len > cfg.encoder_config.max_positions:
+    if cfg.train.max_seq_len > cfg.encoder.max_positions:
         raise ConfigError(
-            f"max_seq_len {cfg.train_config.max_seq_len} exceeds encoder "
-            f"max_positions {cfg.encoder_config.max_positions}"
+            f"max_seq_len {cfg.train.max_seq_len} exceeds encoder "
+            f"max_positions {cfg.encoder.max_positions}"
         )
     out_dir = Path(cfg.paths["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.task == "emotion":
-        schema = AffectSchema.from_json(cfg.paths["schema"]) if cfg.paths.get("schema") else AffectSchema.default()
-        labels = None
-        schema_json = schema.to_jsonable()
-    else:
-        schema = None
-        labels = MHLabelSchema.from_json(cfg.paths["schema"]) if cfg.paths.get("schema") else MHLabelSchema()
-        schema_json = labels.to_jsonable()
-
-    corpus = _load_task_corpus(cfg.paths["train"], cfg, schema, labels)
+    task = TASKS[cfg.task]
+    schema = task.schema(cfg.paths.get("schema"))
+    corpus = task.load(cfg.paths["train"], schema)
     if cfg.paths.get("validation"):
         train_examples = [ex for ex in corpus if ex.is_train]
-        val_examples = _load_task_corpus(cfg.paths["validation"], cfg, schema, labels)
+        val_examples = task.load(cfg.paths["validation"], schema)
     else:
-        train_examples, val_examples = split_examples(
-            corpus, cfg.seed, cfg.train_config.validation_fraction
-        )
+        train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction)
 
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
-    if cfg.task == "emotion":
-        model = EmotionModel.build(cfg.encoder_config, len(vocab), schema, cfg.loss_weights, cfg.seed)
-    else:
-        model = MHModel.build(cfg.encoder_config, len(vocab), labels, cfg.seed)
+    model = task.build(cfg.encoder, len(vocab), schema, cfg.loss_weights, cfg.seed)
 
     lexicon = None
-    if cfg.train_config.augment:
+    if cfg.train.augment:
         lexicon = load_synonyms(cfg.paths["lexicon"]) if cfg.paths.get("lexicon") else default_lexicon()
 
     started = time.time()
-    result = train(model, vocab, train_examples, cfg.train_config, validation=val_examples, lexicon=lexicon)
+    result = train(model, vocab, train_examples, cfg.train, validation=val_examples, lexicon=lexicon)
     wall = time.time() - started
 
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(
         Checkpoint(
             task=cfg.task,
-            encoder_config=cfg.encoder_config,
-            train_config=cfg.train_config,
-            loss_weights=cfg.loss_weights if cfg.task == "emotion" else None,
+            encoder_config=cfg.encoder,
+            train_config=cfg.train,
+            loss_weights=model.weights,
             vocab=vocab,
-            schema_json=schema_json,
+            schema_json=schema.to_jsonable(),
             epoch=result.best_index + 1,
             metrics=result.best_metrics,
             tensors=result.best_params,
@@ -247,10 +203,10 @@ def cmd_train(args) -> int:
         "epochs_run": len(result.history),
         "optimizer_steps": result.steps_taken,
         "stopped_early": result.stopped_early,
-        "train_accuracy": accuracy(model, train_examples, vocab, cfg.train_config),
+        "train_accuracy": accuracy(model, train_examples, vocab, cfg.train),
         "wall_time_s": wall,
         "checkpoint": str(ckpt_dir),
-        "config": cfg.to_jsonable(),
+        "config": dataclasses.asdict(cfg),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps({k: summary[k] for k in ("task", "best_epoch", "best_combined_score",
@@ -261,26 +217,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    if ckpt.task == "emotion":
-        schema = AffectSchema.build(
-            emotions=ckpt.schema_json["emotions"],
-            positive=ckpt.schema_json["positive"],
-            negative=ckpt.schema_json["negative"],
-            coords=ckpt.schema_json["coords"],
-            tau0=ckpt.schema_json["tau0"],
-            scale=ckpt.schema_json["scale"],
-            high=ckpt.schema_json.get("high"),
-        )
-        examples, _ = load_corpus(args.corpus, schema)
-        class_names = schema.taxonomy.emotions
-    else:
-        labels = MHLabelSchema(
-            categories=tuple(ckpt.schema_json["categories"]),
-            intensity_field=ckpt.schema_json.get("intensity_field", "intensity"),
-            severity_levels=int(ckpt.schema_json.get("severity_levels", 3)),
-        )
-        examples, _ = load_mh_corpus(args.corpus, labels)
-        class_names = labels.categories
+    task = TASKS[ckpt.task]
+    schema = task.schema_type.from_jsonable(ckpt.schema_json)
+    examples = task.load(args.corpus, schema)
 
     metrics = evaluate(model, examples, ckpt.vocab, ckpt.train_config)
     payload = metrics.to_jsonable()
@@ -289,17 +228,13 @@ def cmd_eval(args) -> int:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(json.dumps(payload, indent=2))
     if args.dump_predictions:
-        from .training import predict
-
         y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)
-        import csv as _csv
-
         Path(args.dump_predictions).parent.mkdir(parents=True, exist_ok=True)
         with open(args.dump_predictions, "w", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["index", "true_label", "predicted_label", "confidence"])
             for i, (ex, pred, conf) in enumerate(zip(examples, y_pred, confs)):
-                writer.writerow([i, class_names[ex.emotion], class_names[pred], f"{conf:.10f}"])
+                writer.writerow([i, schema.names[ex.emotion], schema.names[pred], f"{conf:.10f}"])
     return EXIT_OK
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .affect import AffectSchema
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, read_json_object
 
 CLS_TOKEN, PAD_TOKEN, UNK_TOKEN = "[CLS]", "[PAD]", "[UNK]"
 CLS_ID, PAD_ID, UNK_ID = 0, 1, 2
@@ -69,30 +69,29 @@ class MHLabelSchema:
         if len(set(self.categories)) != len(self.categories) or not self.categories:
             raise ConfigError("category names must be non-empty and unique")
 
-    def index(self, name: str) -> int:
-        try:
-            return self.categories.index(name)
-        except ValueError:
-            raise SchemaError(f"unknown category {name!r}") from None
+    @classmethod
+    def default(cls) -> "MHLabelSchema":
+        return cls()
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MHLabelSchema":
-        raw = json.loads(Path(path).read_text())
-        unknown = set(raw) - {"categories", "intensity_field", "severity_levels"}
+        return cls.from_jsonable(read_json_object(path, "schema"))
+
+    @classmethod
+    def from_jsonable(cls, raw: dict) -> "MHLabelSchema":
+        """Inverse of ``to_jsonable``; absent fields take their defaults."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"label schema has unknown fields: {sorted(unknown)}")
-        return cls(
-            categories=tuple(raw.get("categories", cls.categories)),
-            intensity_field=raw.get("intensity_field", "intensity"),
-            severity_levels=int(raw.get("severity_levels", 3)),
-        )
+        raw = {**asdict(cls()), **raw}
+        return cls(tuple(raw["categories"]), raw["intensity_field"], int(raw["severity_levels"]))
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.categories
 
     def to_jsonable(self) -> dict:
-        return {
-            "categories": list(self.categories),
-            "intensity_field": self.intensity_field,
-            "severity_levels": self.severity_levels,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -188,21 +187,50 @@ def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int
 # -- corpus loading -----------------------------------------------------------
 
 
-def _iter_jsonl(path: str | Path):
+def label_index(label, names: tuple[str, ...], kind: str) -> int:
+    """Index of a label given as a name or an integer index into ``names``;
+    ``kind`` (``emotion``, ``category``) names the taxonomy in errors."""
+    if isinstance(label, str):
+        if label not in names:
+            raise SchemaError(f"unknown {kind} {label!r}")
+        return names.index(label)
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise DataError(f"label missing or malformed: {label!r}")
+    if not 0 <= label < len(names):
+        raise SchemaError(f"{kind} index {label} outside taxonomy of size {len(names)}")
+    return label
+
+
+def scan_jsonl(path: str | Path, parse) -> tuple[list, list[tuple[int, str]]]:
+    """``parse`` applied to the JSON object on each non-blank line. Returns
+    (results, rejected), where rejected holds (line number, reason) pairs for
+    lines that are not JSON objects or that ``parse`` rejects with DataError."""
+    results, rejected = [], []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if line.strip():
-                yield line_no, line
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError("line is not a JSON object")
+                results.append(parse(obj))
+            except (json.JSONDecodeError, DataError) as exc:
+                rejected.append((line_no, str(exc)))
+    return results, rejected
 
 
-def _parse_line(line_no: int, line: str) -> dict:
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise DataError("line is not a JSON object")
-    return obj
+def _load(path, names, kind, make, skip_bad):
+    """Examples ``make(obj, text, label index)`` from a corpus; raises on
+    rejected lines unless skip_bad."""
 
+    def parse(obj: dict) -> LabeledExample:
+        text = str(obj.get("text", "")).strip()
+        if not text:
+            raise DataError("empty text")
+        return make(obj, text, label_index(obj.get("label"), names, kind))
 
-def _finish(examples, rejected, skip_bad, path):
+    examples, rejected = scan_jsonl(path, parse)
     if rejected and not skip_bad:
         head = "; ".join(f"line {n}: {why}" for n, why in rejected[:5])
         raise DataError(f"{path}: {len(rejected)} rejected line(s): {head}")
@@ -215,33 +243,12 @@ def load_corpus(
     """Emotion-task loader; every accepted example carries derived valence
     and intensity labels. Returns (examples, rejected) where rejected holds
     (line number, reason) pairs; raises DataError instead unless skip_bad."""
-    examples: list[LabeledExample] = []
-    rejected: list[tuple[int, str]] = []
-    for line_no, line in _iter_jsonl(path):
-        try:
-            obj = _parse_line(line_no, line)
-            text = str(obj.get("text", "")).strip()
-            if not text:
-                raise DataError("empty text")
-            label = obj.get("label")
-            if isinstance(label, str):
-                emotion = schema.taxonomy.index(label)
-            elif isinstance(label, int):
-                emotion = schema.taxonomy.check_index(label)
-            else:
-                raise DataError(f"label missing or malformed: {label!r}")
-            examples.append(
-                LabeledExample(
-                    text=text,
-                    emotion=emotion,
-                    valence=schema.derive_valence(emotion),
-                    intensity=schema.derive_intensity(emotion),
-                    split=obj.get("split"),
-                )
-            )
-        except (json.JSONDecodeError, DataError) as exc:
-            rejected.append((line_no, str(exc)))
-    return _finish(examples, rejected, skip_bad, path)
+
+    def make(obj: dict, text: str, emotion: int) -> LabeledExample:
+        valence, intensity = schema.derive_valence(emotion), schema.derive_intensity(emotion)
+        return LabeledExample(text, emotion, valence, intensity, split=obj.get("split"))
+
+    return _load(path, schema.names, "emotion", make, skip_bad)
 
 
 def load_mh_corpus(
@@ -249,38 +256,16 @@ def load_mh_corpus(
 ) -> tuple[list[LabeledExample], list[tuple[int, str]]]:
     """Mental-health loader; severity comes from the configured optional
     field and stays None (intensity-unlabeled) when absent."""
-    examples: list[LabeledExample] = []
-    rejected: list[tuple[int, str]] = []
-    for line_no, line in _iter_jsonl(path):
-        try:
-            obj = _parse_line(line_no, line)
-            text = str(obj.get("text", "")).strip()
-            if not text:
-                raise DataError("empty text")
-            label = obj.get("label")
-            if isinstance(label, str):
-                category = labels.index(label)
-            elif isinstance(label, int) and 0 <= label < len(labels.categories):
-                category = label
-            else:
-                raise DataError(f"label missing or malformed: {label!r}")
-            severity = obj.get(labels.intensity_field)
-            if severity is not None:
-                severity = int(severity)
-                if not 0 <= severity < labels.severity_levels:
-                    raise DataError(f"severity {severity} outside [0, {labels.severity_levels})")
-            examples.append(
-                LabeledExample(
-                    text=text,
-                    emotion=category,
-                    valence=None,
-                    intensity=severity,
-                    split=obj.get("split"),
-                )
-            )
-        except (json.JSONDecodeError, DataError) as exc:
-            rejected.append((line_no, str(exc)))
-    return _finish(examples, rejected, skip_bad, path)
+
+    def make(obj: dict, text: str, category: int) -> LabeledExample:
+        severity = obj.get(labels.intensity_field)
+        if severity is not None:
+            severity = int(severity)
+            if not 0 <= severity < labels.severity_levels:
+                raise DataError(f"severity {severity} outside [0, {labels.severity_levels})")
+        return LabeledExample(text, category, intensity=severity, split=obj.get("split"))
+
+    return _load(path, labels.names, "category", make, skip_bad)
 
 
 def split_examples(

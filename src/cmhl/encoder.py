@@ -35,16 +35,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "layers": self.layers,
-            "heads": self.heads,
-            "hidden": self.hidden,
-            "ffn_dim": self.ffn_dim,
-            "max_positions": self.max_positions,
-            "dropout": self.dropout,
-        }
-
 
 class Encoder:
     """Token+position embedding, L pre-norm attention/FFN blocks, CLS pooling."""

@@ -167,6 +167,7 @@ class MHModel:
     """Encoder plus the gated mental-health heads."""
 
     task = "mental_health"
+    weights = None  # no fixed loss weights: the severity weight is learned
 
     def __init__(self, encoder: Encoder, heads: MHHeadParams, labels: MHLabelSchema):
         self.encoder = encoder

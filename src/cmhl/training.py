@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,11 +26,15 @@ from .data import (
     augment,
     augmentation_rng,
     encode_batch,
+    load_corpus,
+    load_mh_corpus,
     split_examples,
     tokenize,
 )
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericError
+from .heads import EmotionModel
+from .mh import MHModel
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -91,24 +96,6 @@ class TrainConfig:
             return int(round(total_steps * self.warmup))
         return int(self.warmup)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "warmup": self.warmup,
-            "batch_size": self.batch_size,
-            "grad_accumulation_steps": self.grad_accumulation_steps,
-            "epochs": self.epochs,
-            "max_seq_len": self.max_seq_len,
-            "dropout": self.dropout,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "validation_fraction": self.validation_fraction,
-            "augment": self.augment,
-            "p_synonym": self.p_synonym,
-            "p_deletion": self.p_deletion,
-        }
-
 
 def combined_score(macro_f1: float, mean_confidence: float) -> float:
     return F1_WEIGHT * macro_f1 + CONFIDENCE_WEIGHT * mean_confidence
@@ -123,23 +110,11 @@ class Metrics:
     combined_score: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "macro_f1": self.macro_f1,
-            "per_class_recall": list(self.per_class_recall),
-            "macro_recall": self.macro_recall,
-            "mean_confidence": self.mean_confidence,
-            "combined_score": self.combined_score,
-        }
+        return {**asdict(self), "per_class_recall": list(self.per_class_recall)}
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "Metrics":
-        return cls(
-            macro_f1=raw["macro_f1"],
-            per_class_recall=tuple(raw["per_class_recall"]),
-            macro_recall=raw["macro_recall"],
-            mean_confidence=raw["mean_confidence"],
-            combined_score=raw["combined_score"],
-        )
+        return cls(**{**raw, "per_class_recall": tuple(raw["per_class_recall"])})
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -446,15 +421,9 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
         "task": ckpt.task,
         "epoch": ckpt.epoch,
         "metrics": None if ckpt.metrics is None else ckpt.metrics.to_jsonable(),
-        "encoder": ckpt.encoder_config.to_jsonable(),
-        "train": ckpt.train_config.to_jsonable(),
-        "loss_weights": None
-        if ckpt.loss_weights is None
-        else {
-            "alpha1": ckpt.loss_weights.alpha1,
-            "alpha2": ckpt.loss_weights.alpha2,
-            "lambda_excl": ckpt.loss_weights.lambda_excl,
-        },
+        "encoder": asdict(ckpt.encoder_config),
+        "train": asdict(ckpt.train_config),
+        "loss_weights": None if ckpt.loss_weights is None else asdict(ckpt.loss_weights),
         "vocab": ckpt.vocab.to_jsonable(),
         "schema": ckpt.schema_json,
         "tensors": entries,
@@ -473,11 +442,10 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         raw = (directory / entry["file"]).read_bytes()
         tensors[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
     lw = manifest.get("loss_weights")
-    train_cfg = dict(manifest["train"])
     return Checkpoint(
         task=manifest["task"],
         encoder_config=EncoderConfig(**manifest["encoder"]),
-        train_config=TrainConfig(**train_cfg),
+        train_config=TrainConfig(**manifest["train"]),
         loss_weights=None if lw is None else LossWeights(**lw),
         vocab=Vocabulary.from_jsonable(manifest["vocab"]),
         schema_json=manifest["schema"],
@@ -487,32 +455,49 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     )
 
 
+@dataclass(frozen=True)
+class Task:
+    """What differs between the emotion and the mental-health pipeline.
+
+    ``load(path, schema)`` returns a corpus's examples; it looks the loader up
+    by name at each call, so a wrapper installed on the module global is seen.
+    ``build(encoder_config, vocab_size, schema, loss_weights, seed)`` returns
+    a fresh model.
+    """
+
+    schema_type: type
+    preset: Callable[[], TrainConfig]
+    load: Callable[..., list[LabeledExample]]
+    build: Callable
+
+    def schema(self, path: str | Path | None):
+        """The schema in ``path``, or the default one when no path is set."""
+        return self.schema_type.from_json(path) if path else self.schema_type.default()
+
+
+TASKS = {
+    "emotion": Task(
+        schema_type=AffectSchema,
+        preset=TrainConfig.emotion_preset,
+        load=lambda path, schema: load_corpus(path, schema)[0],
+        build=EmotionModel.build,
+    ),
+    "mental_health": Task(
+        schema_type=MHLabelSchema,
+        preset=TrainConfig.mental_health_preset,
+        load=lambda path, labels: load_mh_corpus(path, labels)[0],
+        build=lambda config, vocab_size, labels, _weights, seed: MHModel.build(config, vocab_size, labels, seed),
+    ),
+}
+
+
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model named by the checkpoint and load its tensors."""
-    from .heads import EmotionModel
-    from .mh import MHModel
-
-    if ckpt.task == "emotion":
-        schema = AffectSchema.build(
-            emotions=ckpt.schema_json["emotions"],
-            positive=ckpt.schema_json["positive"],
-            negative=ckpt.schema_json["negative"],
-            coords=ckpt.schema_json["coords"],
-            tau0=ckpt.schema_json["tau0"],
-            scale=ckpt.schema_json["scale"],
-            high=ckpt.schema_json.get("high"),
-        )
-        weights = ckpt.loss_weights or LossWeights()
-        model = EmotionModel.build(ckpt.encoder_config, len(ckpt.vocab), schema, weights, seed=0)
-    elif ckpt.task == "mental_health":
-        labels = MHLabelSchema(
-            categories=tuple(ckpt.schema_json["categories"]),
-            intensity_field=ckpt.schema_json.get("intensity_field", "intensity"),
-            severity_levels=int(ckpt.schema_json.get("severity_levels", 3)),
-        )
-        model = MHModel.build(ckpt.encoder_config, len(ckpt.vocab), labels, seed=0)
-    else:
+    if ckpt.task not in TASKS:
         raise DataError(f"unknown checkpoint task {ckpt.task!r}")
+    task = TASKS[ckpt.task]
+    schema = task.schema_type.from_jsonable(ckpt.schema_json)
+    model = task.build(ckpt.encoder_config, len(ckpt.vocab), schema, ckpt.loss_weights or LossWeights(), 0)
 
     params = model.parameters()
     missing = set(params) ^ set(ckpt.tensors)

@@ -1,6 +1,7 @@
 """Taxonomy derivations, circumplex distances, and threshold construction."""
 
 import math
+import re
 
 import pytest
 
@@ -152,6 +153,30 @@ class TestSchemaConstruction:
         assert loaded.table == schema.table
         assert loaded.thresholds.tau == schema.thresholds.tau
         assert loaded.high_intensity == schema.high_intensity
+
+    def test_jsonable_round_trip(self, schema):
+        custom = AffectSchema.build(
+            emotions=("calm", "glee", "rage"),
+            positive=("glee",),
+            negative=("rage",),
+            coords={"calm": (0.0, -0.5), "glee": (0.9, 0.6), "rage": (-0.8, 0.9)},
+            tau0=0.6,
+            scale=-0.1,
+            high=("rage",),
+        )
+        for original in (schema, custom):
+            assert AffectSchema.from_jsonable(original.to_jsonable()) == original
+        assert custom.names == ("calm", "glee", "rage")
+
+    def test_defaults_fill_absent_fields(self, schema):
+        assert AffectSchema.from_jsonable({}) == schema
+
+    @pytest.mark.parametrize("text", ["{oops", "[1, 2]"])
+    def test_malformed_json_names_file(self, tmp_path, text):
+        path = tmp_path / "schema.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            AffectSchema.from_json(path)
 
     def test_unknown_schema_field_rejected(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -2,10 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cmhl
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from cmhl.data import MHLabelSchema
 from cmhl.training import load_checkpoint, model_from_checkpoint, predict
 
 from conftest import mixed_length_examples, synthetic_emotion_examples, write_corpus_jsonl
@@ -91,6 +98,21 @@ class TestDeriveLabels:
         assert json.loads(lines[0])["label"] == "anger"
 
 
+    def test_non_object_line_rejected(self, tmp_path, capsys):
+        (tmp_path / "in.jsonl").write_text('{"text": "x", "label": "joy"}\n[1, 2]\n')
+        argv = ["derive-labels", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+        assert main(argv) == EXIT_DATA
+        assert "rejected line 2: line is not a JSON object" in capsys.readouterr().err
+        assert main(argv + ["--skip-bad"]) == EXIT_OK
+        assert [json.loads(line)["label"] for line in (tmp_path / "out.jsonl").read_text().splitlines()] == ["joy"]
+
+    def test_boolean_label_rejected(self, tmp_path, capsys):
+        write_lines(tmp_path / "in.jsonl", [{"text": "x", "label": True}])
+        rc = main(["derive-labels", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == EXIT_DATA
+        assert "rejected line 1: label missing or malformed: True" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_expected_artifacts(self, tmp_path, corpus):
         rc = main(["train", "--config", str(toy_config(tmp_path))])
@@ -125,6 +147,54 @@ class TestTrain:
     def test_unknown_train_override_rejected(self, tmp_path, corpus):
         rc = main(["train", "--config", str(toy_config(tmp_path, train={"epochs": 1, "lr": 1.0}))])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"seed": "abc"}, "'seed'"),
+            ({"seed": True}, "'seed'"),
+            ({"vocab_min_freq": 1.5}, "'vocab_min_freq'"),
+            ({"vocab_min_freq": "2"}, "'vocab_min_freq'"),
+            ({"paths": ["x"]}, "'paths'"),
+            ({"train": [1]}, "'train'"),
+            ({"encoder": "small"}, "'encoder'"),
+        ],
+    )
+    def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
+        assert main(["train", "--config", str(toy_config(tmp_path, **overrides))]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text("[1, 2]")
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        assert str(tmp_path / "config.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
+    def test_malformed_schema_names_file(self, tmp_path, corpus, capsys, task):
+        schema = tmp_path / "schema.json"
+        schema.write_text("{oops")
+        paths = {"train": str(corpus), "output": str(tmp_path / "run"), "schema": str(schema)}
+        assert main(["train", "--config", str(toy_config(tmp_path, task=task, paths=paths))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"schema file {schema} is not valid JSON" in err
+
+    def test_summary_reproducible_across_hash_seeds(self, tmp_path, corpus):
+        """Two processes with different string hashing write the same summary."""
+        cfg = toy_config(tmp_path, train={"epochs": 1, "max_seq_len": 16})
+        env = dict(os.environ, PYTHONPATH=str(Path(cmhl.__file__).parents[1]))
+        summaries = []
+        for hash_seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "cmhl.cli", "train", "--config", str(cfg)],
+                env=dict(env, PYTHONHASHSEED=hash_seed), check=True, capture_output=True,
+            )
+            summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+            summary.pop("wall_time_s")
+            summaries.append(json.dumps(summary))
+        assert summaries[0] == summaries[1]
+        assert list(json.loads(summaries[0])["config"]["paths"]) == [
+            "train", "validation", "schema", "lexicon", "output",
+        ]
 
     def test_missing_corpus_is_data_error(self, tmp_path, corpus):
         cfg = toy_config(tmp_path)
@@ -177,6 +247,36 @@ class TestTrainMentalHealth:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["task"] == "mental_health"
         assert summary["epochs_run"] <= 10
+        assert main(["eval", str(tmp_path / "run" / "checkpoint"), str(tmp_path / "mh.jsonl")]) == EXIT_OK
+
+
+    def test_custom_label_schema_round_trip(self, tmp_path):
+        """A checkpoint trained with non-default categories and severity
+        levels restores the same schema and the same tensors."""
+        rows = [{"text": f"{name} mood {i % 5}", "label": name, "sev": i % 4}
+                for i, name in enumerate(["low", "mid", "high"] * 30)]
+        write_lines(tmp_path / "mh.jsonl", rows)
+        labels = MHLabelSchema(categories=("low", "mid", "high"), intensity_field="sev", severity_levels=4)
+        (tmp_path / "labels.json").write_text(json.dumps(labels.to_jsonable()))
+        config = {
+            "task": "mental_health",
+            "seed": 3,
+            "paths": {"train": str(tmp_path / "mh.jsonl"), "schema": str(tmp_path / "labels.json"),
+                      "output": str(tmp_path / "run")},
+            "train": {"epochs": 2, "warmup": 0, "max_seq_len": 16},
+            "encoder": dict(TOY_ENCODER),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+
+        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint")
+        model = model_from_checkpoint(ckpt)
+        assert model.labels == labels
+        assert model.heads.block_sizes == (3, 4)
+        params = model.parameters()
+        assert set(params) == set(ckpt.tensors)
+        for name, tensor in params.items():
+            assert np.array_equal(tensor.data, ckpt.tensors[name]), name
         assert main(["eval", str(tmp_path / "run" / "checkpoint"), str(tmp_path / "mh.jsonl")]) == EXIT_OK
 
 

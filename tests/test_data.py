@@ -1,6 +1,7 @@
 """Corpus loading, vocabulary, batch encoding, and augmentation behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cmhl.data import (
     build_vocab,
     default_lexicon,
     encode_batch,
+    label_index,
     load_corpus,
     load_mh_corpus,
     load_synonyms,
@@ -75,6 +77,20 @@ class TestLoadCorpus:
         examples, _ = load_corpus(path, schema)
         assert examples[0].emotion == 1
 
+    def test_boolean_label_rejected(self, tmp_path, schema):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"text": "hello", "label": True}, {"text": "hi", "label": 1}])
+        examples, rejected = load_corpus(path, schema, skip_bad=True)
+        assert [ex.emotion for ex in examples] == [1]
+        assert rejected == [(1, "label missing or malformed: True")]
+
+    def test_non_object_line_rejected(self, tmp_path, schema):
+        path = tmp_path / "c.jsonl"
+        path.write_text('[1, 2]\n"joy"\n{"text": "hi", "label": "joy"}\n')
+        examples, rejected = load_corpus(path, schema, skip_bad=True)
+        assert len(examples) == 1
+        assert rejected == [(1, "line is not a JSON object"), (2, "line is not a JSON object")]
+
     def test_count_accounting(self, tmp_path, schema):
         rows = [{"text": "x", "label": "joy"}, {"text": "y", "label": "nope"}, {"text": "z", "label": "fear"}]
         path = tmp_path / "c.jsonl"
@@ -110,6 +126,72 @@ class TestMhCorpus:
         write_jsonl(path, [{"text": "post", "label": "bipolar", "severity": 1}])
         examples, _ = load_mh_corpus(path, labels)
         assert examples[0].intensity == 1
+
+
+    def test_boolean_label_rejected(self, tmp_path):
+        path = tmp_path / "mh.jsonl"
+        write_jsonl(path, [{"text": "post", "label": False}, {"text": "post", "label": True}])
+        examples, rejected = load_mh_corpus(path, MHLabelSchema(), skip_bad=True)
+        assert examples == []
+        assert [why for _, why in rejected] == ["label missing or malformed: False", "label missing or malformed: True"]
+
+    def test_integer_label_range(self, tmp_path):
+        path = tmp_path / "mh.jsonl"
+        write_jsonl(path, [{"text": "post", "label": 4}, {"text": "post", "label": 9}])
+        examples, rejected = load_mh_corpus(path, MHLabelSchema(), skip_bad=True)
+        assert [ex.emotion for ex in examples] == [4]
+        assert rejected == [(2, "category index 9 outside taxonomy of size 5")]
+
+
+class TestLabelIndex:
+    NAMES = ("low", "mid", "high")
+
+    def test_name_and_index(self):
+        assert label_index("mid", self.NAMES, "level") == 1
+        assert label_index(2, self.NAMES, "level") == 2
+
+    @pytest.mark.parametrize("label", [True, False, None, 1.0, [1], {"name": "low"}])
+    def test_malformed(self, label):
+        with pytest.raises(DataError, match="label missing or malformed"):
+            label_index(label, self.NAMES, "level")
+
+    @pytest.mark.parametrize("label,message", [("top", "unknown level 'top'"),
+                                               (3, "level index 3 outside taxonomy of size 3"),
+                                               (-1, "level index -1 outside taxonomy of size 3")])
+    def test_unknown(self, label, message):
+        with pytest.raises(DataError) as info:
+            label_index(label, self.NAMES, "level")
+        assert str(info.value) == message
+
+
+class TestMHLabelSchema:
+    CUSTOM = MHLabelSchema(categories=("low", "mid", "high"), intensity_field="sev", severity_levels=4)
+
+    @pytest.mark.parametrize("labels", [MHLabelSchema(), CUSTOM])
+    def test_jsonable_round_trip(self, labels):
+        assert MHLabelSchema.from_jsonable(labels.to_jsonable()) == labels
+        assert MHLabelSchema.from_jsonable(json.loads(json.dumps(labels.to_jsonable()))) == labels
+
+    def test_defaults(self):
+        assert MHLabelSchema.from_jsonable({}) == MHLabelSchema.default() == MHLabelSchema()
+        assert MHLabelSchema.default().names == MHLabelSchema().categories
+
+    def test_from_json(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"categories": ["low", "mid", "high"], "intensity_field": "sev",
+                                    "severity_levels": 4}))
+        assert MHLabelSchema.from_json(path) == self.CUSTOM
+
+    @pytest.mark.parametrize("text", ["{oops", "[1, 2]"])
+    def test_malformed_json_names_file(self, tmp_path, text):
+        path = tmp_path / "labels.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            MHLabelSchema.from_json(path)
+
+    def test_unknown_field(self):
+        with pytest.raises(ConfigError, match="colour"):
+            MHLabelSchema.from_jsonable({"categories": ["a"], "colour": 1})
 
 
 class TestVocabulary:
