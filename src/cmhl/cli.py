@@ -94,6 +94,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     paths.update(_object(raw.get("paths", {}), "paths"))
     if set(paths) - set(_PATH_KEYS):
         raise ConfigError(f"unknown keys in 'paths': {sorted(set(paths) - set(_PATH_KEYS))}")
+    for key, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"'paths.{key}' must be a string or null, got {value!r}")
 
     train_config = _apply_overrides(TASKS[task].preset(), raw.get("train", {}), "train")
     encoder_config = _apply_overrides(EncoderConfig(), raw.get("encoder", {}), "encoder")

@@ -84,7 +84,14 @@ class MHLabelSchema:
         if unknown:
             raise ConfigError(f"label schema has unknown fields: {sorted(unknown)}")
         raw = {**asdict(cls()), **raw}
-        return cls(tuple(raw["categories"]), raw["intensity_field"], int(raw["severity_levels"]))
+        categories, field_name, levels = raw["categories"], raw["intensity_field"], raw["severity_levels"]
+        if not isinstance(categories, (list, tuple)) or not all(isinstance(c, str) for c in categories):
+            raise ConfigError(f"label schema 'categories' must be a list of strings, got {categories!r}")
+        if not isinstance(field_name, str):
+            raise ConfigError(f"label schema 'intensity_field' must be a string, got {field_name!r}")
+        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+            raise ConfigError(f"label schema 'severity_levels' must be a positive integer, got {levels!r}")
+        return cls(tuple(categories), field_name, levels)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -61,7 +61,6 @@ class Encoder:
             p[f"l{i}.ffn.w2"] = T.param((ffn, d), rng)
             p[f"l{i}.ffn.b2"] = T.zeros(d, requires_grad=True)
         self.params = p
-        self.last_attention: list[np.ndarray] = []
 
     def parameters(self) -> dict[str, T.Tensor]:
         return self.params
@@ -79,35 +78,23 @@ class Encoder:
 
     def encode(self, h0: T.Tensor, mask: np.ndarray, *, training: bool = False, rng=None) -> T.Tensor:
         cfg = self.config
-        batch_size, n, d = h0.shape
+        batch_size, n, _ = h0.shape
         if mask.shape != (batch_size, n):
             raise ShapeError(f"mask shape {mask.shape} does not match input {(batch_size, n)}")
-        dk = d // cfg.heads
-        scale = 1.0 / np.sqrt(dk)
         # 0 at real tokens, MASK_NEG at padding
-        mask_add = T.tensor((mask.astype(np.float64) - 1.0).reshape(batch_size, 1, 1, n) * -MASK_NEG)
+        mask_add = (mask.astype(np.float64) - 1.0) * -MASK_NEG
         x = h0
-        self.last_attention = []
         p = self.params
         for i in range(cfg.layers):
             xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-
-            def heads(t: T.Tensor) -> T.Tensor:
-                return t.reshape(batch_size, n, cfg.heads, dk).swapaxes(1, 2)
-
-            q = heads(T.matmul(xn, p[f"l{i}.attn.wq"]) + p[f"l{i}.attn.bq"])
-            k = heads(T.matmul(xn, p[f"l{i}.attn.wk"]) + p[f"l{i}.attn.bk"])
-            v = heads(T.matmul(xn, p[f"l{i}.attn.wv"]) + p[f"l{i}.attn.bv"])
-            scores = T.matmul(q, k.swapaxes(-1, -2)) * scale + mask_add
-            att = T.softmax(scores, axis=-1)
-            self.last_attention.append(att.data)
-            ctx = T.matmul(att, v).swapaxes(1, 2).reshape(batch_size, n, d)
-            out = T.matmul(ctx, p[f"l{i}.attn.wo"]) + p[f"l{i}.attn.bo"]
+            q, k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "qkv")
+            ctx = T.attention(q, k, v, mask_add, cfg.heads)
+            out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
             x = x + T.dropout(out, cfg.dropout, rng, training)
 
             yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-            hidden = T.gelu(T.matmul(yn, p[f"l{i}.ffn.w1"]) + p[f"l{i}.ffn.b1"])
-            ffn_out = T.matmul(hidden, p[f"l{i}.ffn.w2"]) + p[f"l{i}.ffn.b2"]
+            hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
+            ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
             x = x + T.dropout(ffn_out, cfg.dropout, rng, training)
 
             if not np.all(np.isfinite(x.data)):

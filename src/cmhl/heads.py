@@ -66,9 +66,9 @@ def emotion_heads_forward(h_cls: T.Tensor, params: EmotionHeadParams) -> Emotion
     if h_cls.data.ndim != 2 or h_cls.shape[1] != params.w_e.shape[0]:
         raise ShapeError(f"h_cls {h_cls.shape} does not match head input {params.w_e.shape[0]}")
     return EmotionPrediction(
-        p_e=T.softmax(T.matmul(h_cls, params.w_e) + params.b_e),
-        p_v=T.softmax(T.matmul(h_cls, params.w_v) + params.b_v),
-        p_i=T.softmax(T.matmul(h_cls, params.w_i) + params.b_i),
+        p_e=T.softmax(T.linear(h_cls, params.w_e, params.b_e)),
+        p_v=T.softmax(T.linear(h_cls, params.w_v, params.b_v)),
+        p_i=T.softmax(T.linear(h_cls, params.w_i, params.b_i)),
     )
 
 

@@ -106,15 +106,15 @@ class MHPrediction:
 def mh_heads_forward(h_cls: T.Tensor, params: MHHeadParams) -> tuple[T.Tensor, T.Tensor]:
     if h_cls.data.ndim != 2 or h_cls.shape[1] != params.w_m.shape[0]:
         raise ShapeError(f"h_cls {h_cls.shape} does not match head input {params.w_m.shape[0]}")
-    p_m = T.softmax(T.matmul(h_cls, params.w_m) + params.b_m)
-    p_s = T.softmax(T.matmul(h_cls, params.w_s) + params.b_s)
+    p_m = T.softmax(T.linear(h_cls, params.w_m, params.b_m))
+    p_s = T.softmax(T.linear(h_cls, params.w_s, params.b_s))
     return p_m, p_s
 
 
 def gate_weights(features: T.Tensor, params: MHHeadParams) -> T.Tensor:
     """Two softmax weights from the concatenated head outputs."""
-    hidden = T.relu(T.matmul(features, params.w_gate_in) + params.b_gate_in)
-    return T.softmax(T.matmul(hidden, params.w_gate_out) + params.b_gate_out)
+    hidden = T.relu(T.linear(features, params.w_gate_in, params.b_gate_in))
+    return T.softmax(T.linear(hidden, params.w_gate_out, params.b_gate_out))
 
 
 def gated_fusion(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, int]) -> T.Tensor:
@@ -133,7 +133,7 @@ def gated_fusion_product(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, i
 def final_prediction(fused: T.Tensor, params: MHHeadParams) -> T.Tensor:
     if fused.shape[-1] != params.w_fuse.shape[0]:
         raise ShapeError(f"fused features {fused.shape} do not match {params.w_fuse.shape[0]}")
-    return T.softmax(T.matmul(fused, params.w_fuse) + params.b_fuse)
+    return T.softmax(T.linear(fused, params.w_fuse, params.b_fuse))
 
 
 def effective_beta(params: MHHeadParams) -> T.Tensor:

@@ -1,13 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The primitive set is exactly what the model needs: matmul, add, elementwise
-product, reductions, reshaping, gather/select, ReLU, GELU, softplus, softmax,
-layer norm, dropout, embedding lookup, block-repeat scaling, concatenation,
-and cross-entropy. Every primitive carries its own backward closure; gradients
-accumulate into leaves' ``.grad`` so micro-batch accumulation works without
-extra bookkeeping. ``backward`` consumes the graph it walks, freeing each
-interior node as soon as it has propagated, and inside ``no_grad()`` no graph
-is recorded at all.
+The primitive set is exactly what the model needs: matmul, the fused affine
+map ``linear`` (``x @ w + b``), fused multi-head ``attention``, add,
+elementwise product, reductions, reshaping, gather/select, ReLU, GELU,
+softplus, softmax, layer norm, dropout, embedding lookup, block-repeat
+scaling, concatenation, and cross-entropy. Every primitive carries its own
+backward closure; gradients accumulate into leaves' ``.grad`` so micro-batch
+accumulation works without extra bookkeeping. ``backward`` consumes the graph
+it walks, freeing each interior node as soon as it has propagated, and inside
+``no_grad()`` no graph is recorded at all.
+
+A node's first gradient contribution becomes its ``.grad`` unfilled: an
+array its backward closure has just computed is adopted, and a view of the
+consumer's gradient (``add``, ``reshape``, ``swapaxes``, ``sum``, ``concat``)
+is copied, so no two ``.grad`` arrays share memory. Only the scatter-adds
+(``select``, ``gather``, ``embedding``, ``cross_entropy``) zero-fill first.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ __all__ = [
     "zeros",
     "ones",
     "matmul",
+    "linear",
+    "attention",
     "concat",
     "gather",
     "relu",
@@ -96,6 +105,13 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
+    def _accumulate(self, g: np.ndarray, owned: bool) -> None:
+        """Add ``g`` into ``.grad``; a first ``g`` is adopted if ``owned`` (fresh, unshared), else copied."""
+        if self.grad is not None:
+            self.grad += g
+        else:
+            self.grad = np.asarray(g) if owned else g.copy()  # NumPy returns 0-d results as scalars
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -104,10 +120,11 @@ class Tensor:
         if out.requires_grad:
 
             def back() -> None:
+                # _unbroadcast returns a view of out.grad unless it had to sum
                 if self.requires_grad:
-                    self._ensure_grad()[...] += _unbroadcast(out.grad, self.shape)
+                    self._accumulate(_unbroadcast(out.grad, self.shape), self.shape != out.shape)
                 if other.requires_grad:
-                    other._ensure_grad()[...] += _unbroadcast(out.grad, other.shape)
+                    other._accumulate(_unbroadcast(out.grad, other.shape), other.shape != out.shape)
 
             out._backward = back
         return out
@@ -121,9 +138,9 @@ class Tensor:
 
             def back() -> None:
                 if self.requires_grad:
-                    self._ensure_grad()[...] += _unbroadcast(out.grad * other.data, self.shape)
+                    self._accumulate(_unbroadcast(out.grad * other.data, self.shape), True)
                 if other.requires_grad:
-                    other._ensure_grad()[...] += _unbroadcast(out.grad * self.data, other.shape)
+                    other._accumulate(_unbroadcast(out.grad * self.data, other.shape), True)
 
             out._backward = back
         return out
@@ -143,9 +160,6 @@ class Tensor:
     def __truediv__(self, scalar: float) -> "Tensor":
         return self * (1.0 / float(scalar))
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     # -- shape manipulation -------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
@@ -154,7 +168,7 @@ class Tensor:
             original = self.shape
 
             def back() -> None:
-                self._ensure_grad()[...] += out.grad.reshape(original)
+                self._accumulate(out.grad.reshape(original), False)
 
             out._backward = back
         return out
@@ -164,7 +178,7 @@ class Tensor:
         if out.requires_grad:
 
             def back() -> None:
-                self._ensure_grad()[...] += out.grad.swapaxes(a, b)
+                self._accumulate(out.grad.swapaxes(a, b), False)
 
             out._backward = back
         return out
@@ -191,7 +205,7 @@ class Tensor:
                 grad = out.grad
                 if axis is not None and not keepdims:
                     grad = np.expand_dims(grad, axis)
-                self._ensure_grad()[...] += np.broadcast_to(grad, self.shape)
+                self._accumulate(np.broadcast_to(grad, self.shape), False)
 
             out._backward = back
         return out
@@ -254,16 +268,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def back() -> None:
             if a.requires_grad:
                 ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
-                a._ensure_grad()[...] += _unbroadcast(ga, a.shape)
+                a._accumulate(_unbroadcast(ga, a.shape), True)
             if b.requires_grad:
-                if b.data.ndim == 2 and a.data.ndim > 2:
-                    # [..., d] @ [d, k]: one GEMM over all leading rows instead
-                    # of a [..., d, k] temporary summed down afterwards
-                    rows = a.data.reshape(-1, a.data.shape[-1])
-                    gb = rows.T @ out.grad.reshape(-1, out.grad.shape[-1])
-                else:
-                    gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), out.grad), b.shape)
-                b._ensure_grad()[...] += gb
+                gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
+                b._accumulate(_unbroadcast(gb, b.shape), True)
+
+        out._backward = back
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one node: ``w`` is [d, k], ``b`` is [k], and the
+    leading axes of ``x`` form the rows of 2-D GEMMs, forward and backward."""
+    d, k = w.data.shape
+    if x.data.shape[-1] != d or b.data.shape != (k,):
+        raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
+    rows = x.data.reshape(-1, d)
+    y = rows @ w.data
+    y += b.data
+    out = _node(y.reshape(*x.data.shape[:-1], k), (x, w, b), "linear")
+    if out.requires_grad:
+
+        def back() -> None:
+            g = out.grad.reshape(-1, k)
+            if x.requires_grad:
+                x._accumulate((g @ w.data.T).reshape(x.data.shape), True)
+            if w.requires_grad:
+                w._accumulate(rows.T @ g, True)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0), True)
+
+        out._backward = back
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [B, n, d] inputs, as one node.
+
+    ``mask_add`` is a constant [B, n] added to every score of each key (0 at
+    real tokens, a large negative number at padding). Scores are scaled by
+    1/sqrt(d / heads); the backward keeps only the [B, heads, n, n] softmax.
+    """
+    batch, n, d = q.data.shape
+    if k.shape != q.shape or v.shape != q.shape or d % heads or np.shape(mask_add) != (batch, n):
+        raise ShapeError(f"attention needs equal [B, n, d] inputs, d divisible by {heads}, a [B, n] mask")
+    dk = d // heads
+    scale = 1.0 / np.sqrt(dk)
+
+    def split(a: np.ndarray) -> np.ndarray:
+        return a.reshape(batch, n, heads, dk).swapaxes(1, 2)
+
+    def merge(a: np.ndarray) -> np.ndarray:
+        return a.swapaxes(1, 2).reshape(batch, n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = np.matmul(qh, kh.swapaxes(-1, -2))
+    probs *= scale
+    probs += mask_add.reshape(batch, 1, 1, n)
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("softmax received non-finite logits")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = _node(merge(np.matmul(probs, vh)), (q, k, v), "attention")
+    if out.requires_grad:
+
+        def back() -> None:
+            g = split(out.grad)
+            if v.requires_grad:
+                v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), g)), True)
+            if q.requires_grad or k.requires_grad:
+                ds = np.matmul(g, vh.swapaxes(-1, -2))
+                ds -= (ds * probs).sum(axis=-1, keepdims=True)
+                ds *= probs
+                ds *= scale
+                if q.requires_grad:
+                    q._accumulate(merge(np.matmul(ds, kh)), True)
+                if k.requires_grad:
+                    k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh)), True)
 
         out._backward = back
     return out
@@ -280,7 +362,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             pieces = np.split(out.grad, splits, axis=axis)
             for t, piece in zip(parts, pieces):
                 if t.requires_grad:
-                    t._ensure_grad()[...] += piece
+                    t._accumulate(piece, False)
 
         out._backward = back
     return out
@@ -306,7 +388,7 @@ def relu(x: Tensor) -> Tensor:
     if out.requires_grad:
 
         def back() -> None:
-            x._ensure_grad()[...] += out.grad * (x.data > 0.0)
+            x._accumulate(out.grad * (x.data > 0.0), True)
 
         out._backward = back
     return out
@@ -320,7 +402,7 @@ def gelu(x: Tensor) -> Tensor:
 
         def back() -> None:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            x._ensure_grad()[...] += out.grad * (cdf + x.data * pdf)
+            x._accumulate(out.grad * (cdf + x.data * pdf), True)
 
         out._backward = back
     return out
@@ -332,7 +414,7 @@ def softplus(x: Tensor) -> Tensor:
 
         def back() -> None:
             sig = 1.0 / (1.0 + np.exp(-x.data))
-            x._ensure_grad()[...] += out.grad * sig
+            x._accumulate(out.grad * sig, True)
 
         out._backward = back
     return out
@@ -350,7 +432,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
         def back() -> None:
             dot = (out.grad * y).sum(axis=axis, keepdims=True)
-            x._ensure_grad()[...] += y * (out.grad - dot)
+            x._accumulate(y * (out.grad - dot), True)
 
         out._backward = back
     return out
@@ -368,14 +450,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS
         def back() -> None:
             g = out.grad
             if gain.requires_grad:
-                gain._ensure_grad()[...] += _unbroadcast(g * xhat, gain.shape)
+                gain._accumulate(_unbroadcast(g * xhat, gain.shape), True)
             if bias.requires_grad:
-                bias._ensure_grad()[...] += _unbroadcast(g, bias.shape)
+                bias._accumulate(_unbroadcast(g, bias.shape), bias.shape != out.shape)
             if x.requires_grad:
                 dxhat = g * gain.data
                 term = dxhat - dxhat.mean(axis=-1, keepdims=True)
                 term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._ensure_grad()[...] += istd * term
+                x._accumulate(istd * term, True)
 
         out._backward = back
     return out
@@ -391,7 +473,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     if out.requires_grad:
 
         def back() -> None:
-            x._ensure_grad()[...] += out.grad * scale
+            x._accumulate(out.grad * scale, True)
 
         out._backward = back
     return out
@@ -422,7 +504,7 @@ def repeat_blocks(x: Tensor, sizes: Sequence[int]) -> Tensor:
         offsets = np.concatenate([[0], np.cumsum(reps)[:-1]])
 
         def back() -> None:
-            x._ensure_grad()[...] += np.add.reduceat(out.grad, offsets, axis=-1)
+            x._accumulate(np.add.reduceat(out.grad, offsets, axis=-1), True)
 
         out._backward = back
     return out
@@ -492,7 +574,7 @@ def backward(loss: Tensor) -> None:
             raise RuntimeError(
                 f"backward reached a {node.op!r} node whose graph an earlier backward already consumed"
             )
-    loss._ensure_grad()[...] += 1.0
+    loss._accumulate(np.ones_like(loss.data), True)
     while order:
         node = order.pop()
         if node._backward is not None:

@@ -129,10 +129,16 @@ def adamw_step(
     betas: tuple[float, float] = ADAM_BETAS,
     eps: float = ADAM_EPS,
 ) -> None:
-    """One in-place update: decoupled weight decay, then bias-corrected moments."""
+    """One in-place update: decoupled weight decay, then bias-corrected moments.
+
+    Each operation of the textbook update runs in its order through ``out=``
+    into one scratch pair sized to the largest parameter.
+    """
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
+    size = max((p.size for p in params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -141,13 +147,18 @@ def adamw_step(
             p *= 1.0 - lr_t * decay
         m = state["m"][name]
         v = state["v"][name]
+        a = scratch_a[: p.size].reshape(p.shape)
+        b = scratch_b[: p.size].reshape(p.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - b1**t, out=a)  # m_hat, then lr_t * m_hat / (sqrt(v_hat) + eps)
+        np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
+        b += eps
+        a *= lr_t
+        p -= np.divide(a, b, out=a)
 
 
 class AdamW:

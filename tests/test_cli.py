@@ -158,6 +158,8 @@ class TestTrain:
             ({"paths": ["x"]}, "'paths'"),
             ({"train": [1]}, "'train'"),
             ({"encoder": "small"}, "'encoder'"),
+            ({"paths": {"train": 5}}, "'paths.train'"),
+            ({"paths": {"output": ["run"]}}, "'paths.output'"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
@@ -249,6 +251,32 @@ class TestTrainMentalHealth:
         assert summary["epochs_run"] <= 10
         assert main(["eval", str(tmp_path / "run" / "checkpoint"), str(tmp_path / "mh.jsonl")]) == EXIT_OK
 
+
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ({"categories": "abc"}, "'categories'"),
+            ({"categories": ["low", 2]}, "'categories'"),
+            ({"intensity_field": 3}, "'intensity_field'"),
+            ({"severity_levels": "x"}, "'severity_levels'"),
+            ({"severity_levels": True}, "'severity_levels'"),
+            ({"severity_levels": 0}, "'severity_levels'"),
+            ({"severity_levels": 2.0}, "'severity_levels'"),
+        ],
+    )
+    def test_malformed_label_schema_field(self, tmp_path, capsys, fields, name):
+        write_mh_corpus(tmp_path / "mh.jsonl", 30)
+        (tmp_path / "labels.json").write_text(json.dumps(fields))
+        config = {
+            "task": "mental_health",
+            "paths": {"train": str(tmp_path / "mh.jsonl"), "schema": str(tmp_path / "labels.json"),
+                      "output": str(tmp_path / "run")},
+            "train": {"max_seq_len": 16},
+            "encoder": dict(TOY_ENCODER),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
 
     def test_custom_label_schema_round_trip(self, tmp_path):
         """A checkpoint trained with non-default categories and severity

@@ -5,7 +5,7 @@ import pytest
 
 from cmhl import tensor as T
 from cmhl.data import LabeledExample, build_vocab, encode_batch
-from cmhl.encoder import Encoder, EncoderConfig, cls_pool
+from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig, cls_pool
 from cmhl.errors import ConfigError, ShapeError
 
 
@@ -60,20 +60,28 @@ class TestShapesAndDeterminism:
 
 
 class TestMaskingAndNorm:
+    @staticmethod
+    def _qkv_and_mask(seed=0):
+        # batch row 1 has two padded keys at positions 2 and 3
+        rng = np.random.default_rng(seed)
+        qkv = [rng.normal(size=(2, 4, 8)) for _ in range(3)]
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
+        return qkv, (mask - 1.0) * -MASK_NEG
+
     def test_masked_keys_get_zero_attention(self):
-        batch, vocab = toy_batch(["one two three four", "one"])
-        enc = toy_encoder(vocab, layers=2)
-        enc.forward(batch)
-        pad_cols = batch.attention_mask[1] == 0
-        for att in enc.last_attention:
-            assert np.all(att[1, :, :, pad_cols] < 1e-6)
+        (q, k, v), mask_add = self._qkv_and_mask()
+        base = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), mask_add, 2).data
+        k2, v2 = k.copy(), v.copy()
+        k2[1, 2:] += 50.0
+        v2[1, 2:] = -1e3
+        moved = T.attention(T.tensor(q), T.tensor(k2), T.tensor(v2), mask_add, 2).data
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-9)
 
     def test_attention_rows_sum_to_one(self):
-        batch, vocab = toy_batch(["a b c", "a"])
-        enc = toy_encoder(vocab)
-        enc.forward(batch)
-        for att in enc.last_attention:
-            np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-9)
+        # with v = 1 every context row is the sum of that query's probabilities
+        (q, k, _), mask_add = self._qkv_and_mask(1)
+        out = T.attention(T.tensor(q), T.tensor(k), T.ones(2, 4, 8), mask_add, 2)
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(1)

@@ -195,7 +195,7 @@ class TestNoGrad:
 
 
 class TestMatmulWeightGradient:
-    """``[..., d] @ [d, k]`` takes the weight gradient as one GEMM over all rows."""
+    """``[..., d] @ [d, k]``: the weight gradient sums the per-batch products."""
 
     rng = np.random.default_rng(11)
 
@@ -226,6 +226,168 @@ class TestMatmulWeightGradient:
         _check(lambda t: (T.matmul(t, b) * w).sum(), a)
         _check(lambda t: (T.matmul(a, t) * w).sum(), b)
         assert b.grad.shape == b_shape
+
+
+def _grads(build, inputs, upstream):
+    """Value of ``build(*inputs)`` and the gradient of ``sum(out * upstream)``
+    with respect to each input (None for inputs without requires_grad)."""
+    out = build(*inputs)
+    value = out.data.copy()
+    T.backward((out * T.tensor(upstream)).sum())
+    return value, [t.grad for t in inputs]
+
+
+def _fresh(arrays, requires):
+    return [T.tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+
+
+class TestLinear:
+    """``linear`` equals the unfused ``matmul(x, w) + b`` composition."""
+
+    rng = np.random.default_rng(12)
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+    def test_matches_matmul_plus_bias(self, x_shape):
+        arrays = [self.rng.normal(size=x_shape), self.rng.normal(size=(4, 3)), self.rng.normal(size=3)]
+        upstream = self.rng.normal(size=x_shape[:-1] + (3,))
+        fused = _grads(T.linear, _fresh(arrays, [True] * 3), upstream)
+        unfused = _grads(lambda x, w, b: T.matmul(x, w) + b, _fresh(arrays, [True] * 3), upstream)
+        np.testing.assert_allclose(fused[0], unfused[0], rtol=0, atol=1e-12)
+        for got, want in zip(fused[1], unfused[1]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_finite_differences_every_input(self):
+        x, w, b = _fresh([self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(4, 2)),
+                          self.rng.normal(size=2)], [True] * 3)
+        up = T.tensor(self.rng.normal(size=(2, 3, 2)))
+        _check(lambda t: (T.linear(t, w, b) * up).sum(), x)
+        _check(lambda t: (T.linear(x, t, b) * up).sum(), w)
+        _check(lambda t: (T.linear(x, w, t) * up).sum(), b)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            T.linear(T.ones(2, 3), T.ones(4, 2), T.ones(2))
+        with pytest.raises(ShapeError):
+            T.linear(T.ones(2, 4), T.ones(4, 2), T.ones(3))
+
+
+def _unfused_attention(q, k, v, mask_add, heads):
+    """The reshape / swapaxes / matmul / softmax composition ``attention`` fuses."""
+    batch, n, d = q.shape
+    dk = d // heads
+
+    def split(t):
+        return t.reshape(batch, n, heads, dk).swapaxes(1, 2)
+
+    scores = T.matmul(split(q), split(k).swapaxes(-1, -2)) * (1.0 / np.sqrt(dk))
+    probs = T.softmax(scores + T.tensor(mask_add.reshape(batch, 1, 1, n)), axis=-1)
+    return T.matmul(probs, split(v)).swapaxes(1, 2).reshape(batch, n, d)
+
+
+class TestAttention:
+    """``attention`` equals the unfused composition, values and gradients."""
+
+    rng = np.random.default_rng(13)
+    # row 1 pads its last two keys, row 2 pads one
+    mask_add = (np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64) - 1.0) * 1e9
+
+    def _qkv(self):
+        return [self.rng.normal(size=(3, 4, 6)) for _ in range(3)]
+
+    @pytest.mark.parametrize(
+        "requires", [(True, True, True), (True, False, False), (False, True, False), (False, False, True)]
+    )
+    def test_matches_unfused_composition(self, requires):
+        arrays = self._qkv()
+        upstream = self.rng.normal(size=(3, 4, 6))
+        fused = _grads(lambda q, k, v: T.attention(q, k, v, self.mask_add, 2), _fresh(arrays, requires), upstream)
+        unfused = _grads(
+            lambda q, k, v: _unfused_attention(q, k, v, self.mask_add, 2), _fresh(arrays, requires), upstream
+        )
+        np.testing.assert_allclose(fused[0], unfused[0], rtol=0, atol=1e-12)
+        for got, want, needed in zip(fused[1], unfused[1], requires):
+            if needed:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            else:
+                assert got is None and want is None
+
+    def test_finite_differences_every_input(self):
+        q, k, v = _fresh(self._qkv(), [True] * 3)
+        up = T.tensor(self.rng.normal(size=(3, 4, 6)))
+        _check(lambda t: (T.attention(t, k, v, self.mask_add, 3) * up).sum(), q)
+        _check(lambda t: (T.attention(q, t, v, self.mask_add, 3) * up).sum(), k)
+        _check(lambda t: (T.attention(q, k, t, self.mask_add, 3) * up).sum(), v)
+
+    def test_nonfinite_scores_rejected(self):
+        q, k, v = self._qkv()
+        q[0, 1, 2] = np.inf
+        with pytest.raises(NumericError, match="non-finite logits"):
+            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 2)
+
+    def test_shape_mismatch_rejected(self):
+        q, k, v = self._qkv()
+        with pytest.raises(ShapeError):
+            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 4)
+        with pytest.raises(ShapeError):
+            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add[:2], 2)
+
+
+class TestGradientOwnership:
+    """First gradient contributions are adopted or copied, never shared."""
+
+    rng = np.random.default_rng(14)
+
+    def _leaves(self):
+        shapes = {"x": (2, 3), "a": (2, 3), "b": (2, 3), "p": (2, 3), "r": (6,), "h": (4, 3), "w": (3, 2),
+                  "bias": (2,), "s": ()}
+        return {name: T.tensor(self.rng.normal(size=s), requires_grad=True) for name, s in shapes.items()}
+
+    @staticmethod
+    def _loss(t, c):
+        """x + x; a + b of equal shapes; an interior node plus a leaf where the
+        interior node feeds a second consumer; a reshape and a linear input
+        that each feed two consumers; a 0-d leaf."""
+        pb = t["p"] * c[0]
+        loss = ((t["x"] + t["x"]) * c[1]).sum()
+        loss = loss + ((t["a"] + t["b"]) * c[2]).sum()
+        loss = loss + ((pb + t["b"]) * c[3]).sum() + (pb * c[4]).sum()
+        shaped = t["r"].reshape(2, 3)
+        loss = loss + (shaped * c[5]).sum() + (shaped * shaped).sum()
+        loss = loss + (T.linear(t["h"], t["w"], t["bias"]) * c[6]).sum() + (t["h"] * t["h"]).sum()
+        return loss + T.softplus(t["s"]) * c[7]
+
+    def _run(self, leaves, micro_batches):
+        for consts in micro_batches:
+            T.backward(self._loss(leaves, [T.tensor(a) for a in consts]))
+        return {name: t.grad for name, t in leaves.items()}
+
+    def test_no_shared_buffers_and_zero_fill_values(self, monkeypatch):
+        shapes = [(2, 3)] * 6 + [(4, 2), ()]
+        micro_batches = [[self.rng.normal(size=s) for s in shapes] for _ in range(2)]
+        leaves = self._leaves()
+        start = {name: t.data.copy() for name, t in leaves.items()}
+        grads = self._run(leaves, micro_batches)
+        names = sorted(grads)
+        assert all(type(g) is np.ndarray for g in grads.values())
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                assert not np.shares_memory(grads[first], grads[second]), (first, second)
+
+        def zero_fill(tensor, g, owned):
+            tensor._ensure_grad()[...] += g
+
+        monkeypatch.setattr(T.Tensor, "_accumulate", zero_fill)
+        reference = {name: T.tensor(data, requires_grad=True) for name, data in start.items()}
+        expected = self._run(reference, micro_batches)
+        for name in names:
+            np.testing.assert_array_equal(grads[name], expected[name], err_msg=name)
+        # leaf gradients sum over the two micro-batches
+        first, second = (
+            self._run({name: T.tensor(d, requires_grad=True) for name, d in start.items()}, [consts])
+            for consts in micro_batches
+        )
+        for name in names:
+            np.testing.assert_allclose(grads[name], first[name] + second[name], rtol=0, atol=1e-12)
 
 
 class TestComputationRecord:

@@ -66,6 +66,33 @@ class TestAdamW:
         assert t.item() != 1.0
         assert t.grad is None
 
+    def test_bit_identical_to_textbook_update(self):
+        """Parameters and both moments equal a plain per-parameter update exactly."""
+        rng = np.random.default_rng(21)
+        shapes = {"s": (), "v": (7,), "m": (5, 3), "t": (2, 3, 4)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        state = {"step": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
+                 "v": {k: np.zeros(s) for k, s in shapes.items()}}
+        ref = {k: [np.array(p), np.zeros(shapes[k]), np.zeros(shapes[k])] for k, p in params.items()}
+        b1, b2 = training.ADAM_BETAS
+        eps = training.ADAM_EPS
+        for t, lr in enumerate([3e-2, 1e-2, 2e-3, 5e-4], start=1):
+            grads = {k: rng.normal(scale=10.0 ** -t, size=s) for k, s in shapes.items()}
+            adamw_step(params, grads, state, lr_t=lr, decay=0.01)
+            for k, (p, m, v) in ref.items():
+                g = grads[k]
+                p = p * (1.0 - lr * 0.01)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                ref[k] = [p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v]
+        assert state["step"] == 4
+        for k, (p, m, v) in ref.items():
+            assert np.array_equal(params[k], p), k
+            assert np.array_equal(state["m"][k], m), k
+            assert np.array_equal(state["v"][k], v), k
+
 
 class TestLrSchedule:
     def test_step_zero_is_zero(self):
