@@ -277,22 +277,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+# `linear` runs products below this many multiply-adds as NumPy's stacked
+# matmul, one GEMM per sample, not as one 2-D GEMM that OpenBLAS threads: its
+# second thread gains little there and stalls whenever the other core is busy
+# (a desk-encoder `cmhl eval` ran 2.4x slower beside one busy process).
+_GEMM_2D_MIN_MACS = 1 << 24
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` as one node: ``w`` is [d, k], ``b`` is [k], and the
-    leading axes of ``x`` form the rows of 2-D GEMMs, forward and backward."""
+    """Affine map ``x @ w + b`` as one node: ``w`` is [d, k], ``b`` is [k]. The weight
+    gradient, and large products, are 2-D GEMMs over the leading rows of ``x``."""
     d, k = w.data.shape
     if x.data.shape[-1] != d or b.data.shape != (k,):
         raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
     rows = x.data.reshape(-1, d)
-    y = rows @ w.data
+    stacked = rows.size * k < _GEMM_2D_MIN_MACS
+    y = np.matmul(x.data, w.data) if stacked else (rows @ w.data).reshape(*x.data.shape[:-1], k)
     y += b.data
-    out = _node(y.reshape(*x.data.shape[:-1], k), (x, w, b), "linear")
+    out = _node(y, (x, w, b), "linear")
     if out.requires_grad:
 
         def back() -> None:
             g = out.grad.reshape(-1, k)
             if x.requires_grad:
-                x._accumulate((g @ w.data.T).reshape(x.data.shape), True)
+                gx = np.matmul(out.grad, w.data.T) if stacked else (g @ w.data.T).reshape(x.data.shape)
+                x._accumulate(gx, True)
             if w.requires_grad:
                 w._accumulate(rows.T @ g, True)
             if b.requires_grad:

@@ -246,8 +246,10 @@ class TestLinear:
 
     rng = np.random.default_rng(12)
 
+    @pytest.mark.parametrize("min_macs", [0, 1 << 62], ids=["2d_gemm", "stacked"])
     @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
-    def test_matches_matmul_plus_bias(self, x_shape):
+    def test_matches_matmul_plus_bias(self, x_shape, min_macs, monkeypatch):
+        monkeypatch.setattr(T, "_GEMM_2D_MIN_MACS", min_macs)
         arrays = [self.rng.normal(size=x_shape), self.rng.normal(size=(4, 3)), self.rng.normal(size=3)]
         upstream = self.rng.normal(size=x_shape[:-1] + (3,))
         fused = _grads(T.linear, _fresh(arrays, [True] * 3), upstream)
