@@ -266,10 +266,9 @@ def load_mh_corpus(
 
     def make(obj: dict, text: str, category: int) -> LabeledExample:
         severity = obj.get(labels.intensity_field)
-        if severity is not None:
-            severity = int(severity)
-            if not 0 <= severity < labels.severity_levels:
-                raise DataError(f"severity {severity} outside [0, {labels.severity_levels})")
+        # a JSON integer only: bool is an int subclass, and int() would truncate 1.7
+        if severity is not None and (type(severity) is not int or not 0 <= severity < labels.severity_levels):
+            raise DataError(f"severity {json.dumps(severity)} is not an integer in [0, {labels.severity_levels})")
         return LabeledExample(text, category, intensity=severity, split=obj.get("split"))
 
     return _load(path, labels.names, "category", make, skip_bad)

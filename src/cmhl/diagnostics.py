@@ -16,8 +16,8 @@ from .affect import AffectSchema, LossWeights
 from .data import LabeledExample, MHLabelSchema, build_vocab, encode_batch
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .heads import EmotionModel, exclusivity_loss, task_loss, total_loss
-from .mh import MHHeadParams, MHModel, final_prediction, gate_weights, gated_fusion_product, mh_heads_forward, mh_loss
+from .heads import EmotionHeadParams, EmotionModel, emotion_heads_forward, exclusivity_loss, task_loss, total_loss
+from .mh import MHHeadParams, MHModel, mh_loss, mh_predict
 
 TOLERANCE = 1e-4
 
@@ -48,8 +48,6 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     rows: list[GradCheckRow] = []
     d = 8
     h_cls = T.tensor(rng.normal(size=(2, d)))
-    from .heads import EmotionHeadParams, emotion_heads_forward
-
     heads = EmotionHeadParams.init(6, d, rng)
     labels = {
         "primary": np.array([1, 0]),
@@ -91,26 +89,13 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     labels_m = np.array([2, 0])
     labels_s = np.array([1, -1])
 
-    def mh_forward(h):
-        p_m, p_s = mh_heads_forward(h, mh)
-        feats = T.concat([p_m, p_s])
-        gate = gate_weights(feats, mh)
-        fused = gated_fusion_product(feats, gate, mh.block_sizes)
-        return final_prediction(fused, mh), p_s
+    def mh_objective(h):
+        pred = mh_predict(h, mh)
+        return mh_loss(pred.p_final, pred.p_s, labels_m, labels_s, mh)
 
     h_mh = T.tensor(rng.normal(size=(2, d)))
-    row(
-        "mh_loss",
-        "h_cls",
-        lambda t: mh_loss(*mh_forward(t), labels_m, labels_s, mh),
-        h_mh,
-    )
-    row(
-        "mh_loss",
-        "mh.beta_raw",
-        lambda t: mh_loss(*mh_forward(h_mh), labels_m, labels_s, mh),
-        mh.beta_raw,
-    )
+    row("mh_loss", "h_cls", mh_objective, h_mh)
+    row("mh_loss", "mh.beta_raw", lambda t: mh_objective(h_mh), mh.beta_raw)
     return rows
 
 

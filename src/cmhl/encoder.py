@@ -110,4 +110,4 @@ def cls_pool(hidden: T.Tensor) -> T.Tensor:
     """Position-0 slice: the aggregate sequence representation."""
     if hidden.data.ndim != 3 or hidden.shape[1] < 1:
         raise ShapeError(f"expected [batch, seq, hidden], got {hidden.shape}")
-    return hidden.select(1, 0)
+    return T.gather(hidden, 0, axis=1)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the JSON file reader that
-reports a malformed config or schema file as a ConfigError.
+reports a malformed config or schema file as a ConfigError (a malformed
+checkpoint manifest as a DataError).
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
@@ -33,12 +34,12 @@ class DeterminismError(NumericError):
     """A function expected to be deterministic produced differing outputs."""
 
 
-def read_json_object(path: str | Path, kind: str) -> dict:
-    """The JSON object in a ``kind`` file (``config``, ``schema``)."""
+def read_json_object(path: str | Path, kind: str, error: type[Exception] = ConfigError) -> dict:
+    """The JSON object in a ``kind`` file (``config``, ``schema``); raises ``error`` otherwise."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from None
+        raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{kind} file {path} does not hold a JSON object")
+        raise error(f"{kind} file {path} does not hold a JSON object")
     return raw

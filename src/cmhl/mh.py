@@ -117,23 +117,25 @@ def gate_weights(features: T.Tensor, params: MHHeadParams) -> T.Tensor:
     return T.softmax(T.linear(hidden, params.w_gate_out, params.b_gate_out))
 
 
-def gated_fusion(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, int]) -> T.Tensor:
-    """Blockwise construction: [a_m * diagnosis block, a_s * severity block]."""
-    m, s = sizes
-    a_m = gate.select(-1, 0).reshape(gate.shape[0], 1)
-    a_s = gate.select(-1, 1).reshape(gate.shape[0], 1)
-    return T.concat([a_m * T.gather(features, range(m)), a_s * T.gather(features, range(m, m + s))])
-
-
 def gated_fusion_product(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, int]) -> T.Tensor:
-    """Broadcast construction: expand the gate blockwise, multiply elementwise."""
-    return T.repeat_blocks(gate, sizes) * features
+    """[a_m * diagnosis block, a_s * severity block]: the gate repeated blockwise, times the features."""
+    m, s = sizes
+    return T.gather(gate, [0] * m + [1] * s) * features
 
 
 def final_prediction(fused: T.Tensor, params: MHHeadParams) -> T.Tensor:
     if fused.shape[-1] != params.w_fuse.shape[0]:
         raise ShapeError(f"fused features {fused.shape} do not match {params.w_fuse.shape[0]}")
     return T.softmax(T.linear(fused, params.w_fuse, params.b_fuse))
+
+
+def mh_predict(h_cls: T.Tensor, params: MHHeadParams) -> MHPrediction:
+    """Both heads, the gate, the gated fusion and the final head on the CLS vector."""
+    p_m, p_s = mh_heads_forward(h_cls, params)
+    features = T.concat([p_m, p_s])
+    gate = gate_weights(features, params)
+    fused = gated_fusion_product(features, gate, params.block_sizes)
+    return MHPrediction(p_m=p_m, p_s=p_s, gate=gate, p_final=final_prediction(fused, params))
 
 
 def effective_beta(params: MHHeadParams) -> T.Tensor:
@@ -194,12 +196,7 @@ class MHModel:
         return len(self.labels.categories)
 
     def forward(self, batch: Batch, *, training: bool = False, rng=None) -> MHPrediction:
-        h_cls = cls_pool(self.encoder.forward(batch, training=training, rng=rng))
-        p_m, p_s = mh_heads_forward(h_cls, self.heads)
-        features = T.concat([p_m, p_s])
-        gate = gate_weights(features, self.heads)
-        fused = gated_fusion_product(features, gate, self.heads.block_sizes)
-        return MHPrediction(p_m=p_m, p_s=p_s, gate=gate, p_final=final_prediction(fused, self.heads))
+        return mh_predict(cls_pool(self.encoder.forward(batch, training=training, rng=rng)), self.heads)
 
     def loss(self, preds: MHPrediction, batch: Batch) -> T.Tensor:
         return mh_loss(

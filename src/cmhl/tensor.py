@@ -2,19 +2,19 @@
 
 The primitive set is exactly what the model needs: matmul, the fused affine
 map ``linear`` (``x @ w + b``), fused multi-head ``attention``, add,
-elementwise product, reductions, reshaping, gather/select, ReLU, GELU,
-softplus, softmax, layer norm, dropout, embedding lookup, block-repeat
-scaling, concatenation, and cross-entropy. Every primitive carries its own
-backward closure; gradients accumulate into leaves' ``.grad`` so micro-batch
-accumulation works without extra bookkeeping. ``backward`` consumes the graph
-it walks, freeing each interior node as soon as it has propagated, and inside
-``no_grad()`` no graph is recorded at all.
+elementwise product, reductions, reshaping, ``gather`` (the one read by
+integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
+layer norm, dropout, concatenation, and cross-entropy. Every primitive
+carries its own backward closure; gradients accumulate into leaves' ``.grad``
+so micro-batch accumulation works without extra bookkeeping. ``backward``
+consumes the graph it walks, freeing each interior node as soon as it has
+propagated, and inside ``no_grad()`` no graph is recorded at all.
 
 A node's first gradient contribution becomes its ``.grad`` unfilled: an
 array its backward closure has just computed is adopted, and a view of the
 consumer's gradient (``add``, ``reshape``, ``swapaxes``, ``sum``, ``concat``)
-is copied, so no two ``.grad`` arrays share memory. Only the scatter-adds
-(``select``, ``gather``, ``embedding``, ``cross_entropy``) zero-fill first.
+is copied, so no two ``.grad`` arrays share memory. Only ``gather`` zero-fills
+a ``.grad``, because its backward adds into it in place.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ __all__ = [
     "layer_norm",
     "dropout",
     "embedding",
-    "repeat_blocks",
     "cross_entropy",
     "backward",
     "no_grad",
-    "computation_record",
     "finite_diff_check",
 ]
 
@@ -99,11 +97,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def _ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     def _accumulate(self, g: np.ndarray, owned: bool) -> None:
         """Add ``g`` into ``.grad``; a first ``g`` is adopted if ``owned`` (fresh, unshared), else copied."""
@@ -179,20 +172,6 @@ class Tensor:
 
             def back() -> None:
                 self._accumulate(out.grad.swapaxes(a, b), False)
-
-            out._backward = back
-        return out
-
-    def select(self, axis: int, index: int) -> "Tensor":
-        """Pick a single index along ``axis``, dropping that axis."""
-        out = _node(np.take(self.data, index, axis=axis), (self,), "select")
-        if out.requires_grad:
-
-            def back() -> None:
-                grad = self._ensure_grad()
-                sl = [slice(None)] * grad.ndim
-                sl[axis] = index
-                grad[tuple(sl)] += out.grad
 
             out._backward = back
         return out
@@ -378,15 +357,24 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def gather(x: Tensor, indices, axis: int = -1) -> Tensor:
-    """Select the given indices along ``axis``, keeping the axis."""
+    """Read ``x`` at integer ``indices`` along ``axis``; the axis is replaced
+    by the axes of ``indices``, and an index may repeat."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = _node(np.take(x.data, idx, axis=axis), (x,), "gather")
+    axis %= x.data.ndim
+    size = x.data.shape[axis]
+    # viewed as unsigned, a negative index exceeds every axis size
+    if idx.size and idx.view(np.uintp).max() >= size:
+        bad = idx[(idx < 0) | (idx >= size)].flat[0]
+        raise ShapeError(f"gather index {bad} out of range for axis {axis} of size {size}")
+    out = _node(x.data.take(idx, axis=axis), (x,), "gather")
     if out.requires_grad:
+        where = (slice(None),) * axis + (idx,)
 
         def back() -> None:
-            grad = x._ensure_grad()
-            expanded = np.moveaxis(grad, axis, 0)
-            np.add.at(expanded, idx, np.moveaxis(out.grad, axis, 0))
+            # in place, so repeated indices and micro-batches add up one term at a time
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, where, out.grad)
 
         out._backward = back
     return out
@@ -490,33 +478,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into ``weight`` by integer id array."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise ShapeError(f"embedding id out of range for table of {weight.shape[0]} rows")
-    out = _node(weight.data[ids], (weight,), "embedding")
-    if out.requires_grad:
-
-        def back() -> None:
-            np.add.at(weight._ensure_grad(), ids, out.grad)
-
-        out._backward = back
-    return out
-
-
-def repeat_blocks(x: Tensor, sizes: Sequence[int]) -> Tensor:
-    """Repeat each entry of the last axis blockwise: entry i appears sizes[i] times."""
-    if len(sizes) != x.shape[-1]:
-        raise ShapeError("repeat_blocks needs one size per entry of the last axis")
-    reps = np.asarray(sizes, dtype=np.intp)
-    out = _node(np.repeat(x.data, reps, axis=-1), (x,), "repeat_blocks")
-    if out.requires_grad:
-        offsets = np.concatenate([[0], np.cumsum(reps)[:-1]])
-
-        def back() -> None:
-            x._accumulate(np.add.reduceat(out.grad, offsets, axis=-1), True)
-
-        out._backward = back
-    return out
+    return gather(weight, ids, axis=0)
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -535,10 +497,12 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     if out.requires_grad:
 
         def back() -> None:
-            grad = probs._ensure_grad()
+            # one entry per row, so assigning equals adding into zeros
+            grad = np.zeros_like(probs.data)
             live = picked > LOG_EPS
             contrib = np.where(live, -1.0 / (np.maximum(picked, LOG_EPS) * rows), 0.0)
-            np.add.at(grad, (np.arange(rows), labels), float(out.grad) * contrib)
+            grad[np.arange(rows), labels] = float(out.grad) * contrib
+            probs._accumulate(grad, True)
 
         out._backward = back
     return out
@@ -591,13 +555,6 @@ def backward(loss: Tensor) -> None:
             node.grad = None
             node._backward = None
             node._parents = ()
-
-
-def computation_record(root: Tensor) -> list[tuple[str, tuple[int, ...], int]]:
-    """Topologically ordered (op, input ids, output id) triples for ``root``'s graph."""
-    order = _topo_order(root)
-    ids = {id(node): i for i, node in enumerate(order)}
-    return [(node.op, tuple(ids[id(p)] for p in node._parents), ids[id(node)]) for node in order]
 
 
 # -- gradient verification -----------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -32,7 +33,7 @@ from .data import (
     tokenize,
 )
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_json_object
 from .heads import EmotionModel
 from .mh import MHModel
 
@@ -447,23 +448,33 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest.json under {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    tensors = {}
-    for entry in manifest["tensors"]:
-        raw = (directory / entry["file"]).read_bytes()
-        tensors[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
-    lw = manifest.get("loss_weights")
-    return Checkpoint(
-        task=manifest["task"],
-        encoder_config=EncoderConfig(**manifest["encoder"]),
-        train_config=TrainConfig(**manifest["train"]),
-        loss_weights=None if lw is None else LossWeights(**lw),
-        vocab=Vocabulary.from_jsonable(manifest["vocab"]),
-        schema_json=manifest["schema"],
-        epoch=manifest["epoch"],
-        metrics=None if manifest["metrics"] is None else Metrics.from_jsonable(manifest["metrics"]),
-        tensors=tensors,
-    )
+    manifest = read_json_object(manifest_path, "checkpoint manifest", DataError)
+    if manifest.get("format") != 1:
+        raise DataError(f"{manifest_path}: format {manifest.get('format')!r} is not 1")
+    try:
+        tensors = {}
+        for entry in manifest["tensors"]:
+            path, shape = directory / entry["file"], tuple(entry["shape"])
+            raw, expected = path.read_bytes(), 8 * math.prod(shape)
+            if entry["dtype"] != "<f8" or len(raw) != expected:
+                raise DataError(f"tensor file {path}: {len(raw)} bytes of {entry['dtype']}, expected {expected} of <f8")
+            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        lw = manifest.get("loss_weights")
+        return Checkpoint(
+            task=manifest["task"],
+            encoder_config=EncoderConfig(**manifest["encoder"]),
+            train_config=TrainConfig(**manifest["train"]),
+            loss_weights=None if lw is None else LossWeights(**lw),
+            vocab=Vocabulary.from_jsonable(manifest["vocab"]),
+            schema_json=manifest["schema"],
+            epoch=manifest["epoch"],
+            metrics=None if manifest["metrics"] is None else Metrics.from_jsonable(manifest["metrics"]),
+            tensors=tensors,
+        )
+    except KeyError as exc:
+        raise DataError(f"{manifest_path}: missing key {exc}") from None
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise DataError(f"{manifest_path}: malformed value: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,20 @@ class TestTrainMentalHealth:
         assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    def test_non_integer_severity_rejected(self, tmp_path, capsys):
+        write_mh_corpus(tmp_path / "mh.jsonl", 30)
+        with open(tmp_path / "mh.jsonl", "a") as handle:
+            handle.write(json.dumps({"text": "calm today", "label": "anxiety", "intensity": "high"}) + "\n")
+        config = {
+            "task": "mental_health",
+            "paths": {"train": str(tmp_path / "mh.jsonl"), "output": str(tmp_path / "run")},
+            "train": {"max_seq_len": 16},
+            "encoder": dict(TOY_ENCODER),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+        assert 'line 31: severity "high"' in capsys.readouterr().err
+
     def test_custom_label_schema_round_trip(self, tmp_path):
         """A checkpoint trained with non-default categories and severity
         levels restores the same schema and the same tensors."""
@@ -351,6 +365,33 @@ class TestEval:
             assert row["true_label"] == names[ex.emotion]
             assert row["predicted_label"] == names[pred[0]]
             assert float(row["confidence"]) == pytest.approx(conf[0], abs=1e-9)
+
+    @pytest.mark.parametrize("corruption", ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type"])
+    def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
+        manifest_path = trained / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if corruption == "malformed_json":
+            manifest_path.write_text(manifest_path.read_text()[:-10])
+            offender = "manifest.json"
+        elif corruption == "missing_key":
+            del manifest["vocab"]
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "'vocab'"
+        elif corruption == "short_tensor":
+            tensor_file = trained / manifest["tensors"][0]["file"]
+            tensor_file.write_bytes(tensor_file.read_bytes()[:-8])
+            offender = manifest["tensors"][0]["file"]
+        elif corruption == "unknown_format":
+            manifest["format"] = 99
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "format 99"
+        else:
+            manifest["train"]["bogus"] = 1
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "'bogus'"
+        assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and offender in err
 
     def test_output_file(self, tmp_path, corpus, trained):
         out = tmp_path / "metrics.json"

@@ -120,6 +120,17 @@ class TestMhCorpus:
         with pytest.raises(DataError):
             load_mh_corpus(path, MHLabelSchema())
 
+    @pytest.mark.parametrize("severity,shown", [("high", '"high"'), (1.7, "1.7"), (True, "true"), (-1, "-1"), (3, "3")])
+    def test_severity_must_be_integer_in_range(self, tmp_path, severity, shown):
+        path = tmp_path / "mh.jsonl"
+        write_jsonl(path, [{"text": "post", "label": "anxiety", "intensity": 2},
+                           {"text": "post", "label": "anxiety", "intensity": severity}])
+        examples, rejected = load_mh_corpus(path, MHLabelSchema(), skip_bad=True)
+        assert [ex.intensity for ex in examples] == [2]
+        assert rejected == [(2, f"severity {shown} is not an integer in [0, 3)")]
+        with pytest.raises(DataError, match=re.escape(shown)):
+            load_mh_corpus(path, MHLabelSchema())
+
     def test_custom_intensity_field(self, tmp_path):
         labels = MHLabelSchema(intensity_field="severity")
         path = tmp_path / "mh.jsonl"

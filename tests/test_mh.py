@@ -16,7 +16,6 @@ from cmhl.mh import (
     effective_beta,
     final_prediction,
     gate_weights,
-    gated_fusion,
     gated_fusion_product,
     mh_heads_forward,
     mh_loss,
@@ -81,20 +80,26 @@ class TestGate:
         )
 
 
+def blockwise_fusion(feats, gate, sizes):
+    """[a_m * diagnosis block, a_s * severity block], written out in NumPy."""
+    m, _ = sizes
+    return np.concatenate([gate[:, :1] * feats[:, :m], gate[:, 1:] * feats[:, m:]], axis=1)
+
+
 class TestFusion:
     sizes = (5, 3)
 
     def test_selection_limit_zeroes_severity_block(self):
         feats = T.tensor(np.random.default_rng(2).dirichlet(np.ones(8), size=2))
         gate = T.tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        fused = gated_fusion(feats, gate, self.sizes)
+        fused = gated_fusion_product(feats, gate, self.sizes)
         np.testing.assert_array_equal(fused.data[:, 5:], 0.0)
         np.testing.assert_allclose(fused.data[:, :5], feats.data[:, :5], atol=1e-15)
 
     def test_even_gate_halves_everything(self):
         feats = T.tensor(np.random.default_rng(3).normal(size=(3, 8)))
         gate = T.tensor(np.full((3, 2), 0.5))
-        fused = gated_fusion(feats, gate, self.sizes)
+        fused = gated_fusion_product(feats, gate, self.sizes)
         np.testing.assert_allclose(fused.data, feats.data / 2, atol=1e-15)
 
     def test_two_constructions_agree(self):
@@ -102,9 +107,8 @@ class TestFusion:
         feats = T.tensor(rng.normal(size=(50, 8)))
         raw = rng.normal(size=(50, 2))
         gate = T.tensor(np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True))
-        a = gated_fusion(feats, gate, self.sizes)
-        b = gated_fusion_product(feats, gate, self.sizes)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-15)
+        fused = gated_fusion_product(feats, gate, self.sizes)
+        np.testing.assert_allclose(fused.data, blockwise_fusion(feats.data, gate.data, self.sizes), atol=1e-15)
 
     def test_preserves_nonnegativity(self):
         rng = np.random.default_rng(7)

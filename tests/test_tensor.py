@@ -376,7 +376,9 @@ class TestGradientOwnership:
                 assert not np.shares_memory(grads[first], grads[second]), (first, second)
 
         def zero_fill(tensor, g, owned):
-            tensor._ensure_grad()[...] += g
+            if tensor.grad is None:
+                tensor.grad = np.zeros_like(tensor.data)
+            tensor.grad += g
 
         monkeypatch.setattr(T.Tensor, "_accumulate", zero_fill)
         reference = {name: T.tensor(data, requires_grad=True) for name, data in start.items()}
@@ -393,17 +395,20 @@ class TestGradientOwnership:
 
 
 class TestComputationRecord:
+    """The order ``backward`` walks in reverse records the computation."""
+
     def test_inputs_precede_consumers(self):
         x = T.tensor([[1.0, 2.0]], requires_grad=True)
         y = T.softmax(x * 2.0 + 1.0)
-        record = T.computation_record(y.sum())
-        for _, inputs, output in record:
-            assert all(i < output for i in inputs)
+        order = T._topo_order(y.sum())
+        position = {id(node): i for i, node in enumerate(order)}
+        assert len(position) == len(order) == 7  # x, 2.0, mul, 1.0, add, softmax, sum
+        for node in order:
+            assert all(position[id(p)] < position[id(node)] for p in node._parents)
 
     def test_ops_named(self):
         x = T.tensor([[1.0, 2.0]], requires_grad=True)
-        record = T.computation_record(T.relu(x).sum())
-        assert [op for op, _, _ in record] == ["leaf", "relu", "sum"]
+        assert [node.op for node in T._topo_order(T.relu(x).sum())] == ["leaf", "relu", "sum"]
 
 
 class TestFiniteDiffCheck:
@@ -520,16 +525,6 @@ class TestPrimitiveGradients:
         x = T.tensor(self.rng.normal(size=(3, 6)), requires_grad=True)
         _check(lambda t: T.gather(t, [1, 4, 4], axis=-1).sum(), x)
 
-    def test_select(self):
-        x = T.tensor(self.rng.normal(size=(2, 4, 3)), requires_grad=True)
-        w = self.rng.normal(size=(2, 3))
-        _check(lambda t: (t.select(1, 0) * T.tensor(w)).sum(), x)
-
-    def test_repeat_blocks(self):
-        x = T.tensor(self.rng.normal(size=(3, 2)), requires_grad=True)
-        w = self.rng.normal(size=(3, 7))
-        _check(lambda t: (T.repeat_blocks(t, [4, 3]) * T.tensor(w)).sum(), x)
-
     def test_cross_entropy_probs(self):
         p = self.rng.dirichlet(np.ones(4), size=3)
         probs = T.tensor(p, requires_grad=True)
@@ -547,8 +542,55 @@ class TestPrimitiveGradients:
         _check(lambda t: (t.reshape(2, 3, 2).swapaxes(0, 1) * T.tensor(w)).sum(), x)
 
 
-class TestRepeatBlocksValues:
-    def test_blockwise_expansion(self):
-        x = T.tensor([[2.0, 3.0]])
-        out = T.repeat_blocks(x, [3, 2])
-        np.testing.assert_array_equal(out.data, [[2.0, 2.0, 2.0, 3.0, 3.0]])
+class TestGather:
+    """``gather`` is the only read by integer index: embedding rows, the CLS
+    position, the exclusivity pairs and the gate's block repeat."""
+
+    rng = np.random.default_rng(15)
+
+    @pytest.mark.parametrize(
+        "shape,indices,axis",
+        [
+            ((5, 3), [4, 0, 4, 2, 4], 0),  # repeated rows
+            ((3, 2), [0, 0, 0, 0, 1, 1, 1], -1),  # the gate's block repeat
+            ((2, 4, 3), 0, 1),  # the CLS position: a 0-d index drops the axis
+            ((6, 2), [[1, 5, 1], [5, 5, 0]], 0),  # a 2-D index array, as in embedding
+        ],
+        ids=["repeated_rows", "block_repeat", "cls_position", "index_array"],
+    )
+    def test_repeated_indices_match_finite_differences(self, shape, indices, axis):
+        x = T.tensor(self.rng.normal(size=shape), requires_grad=True)
+        w = T.tensor(self.rng.normal(size=np.take(x.data, indices, axis=axis).shape))
+        _check(lambda t: (T.gather(t, indices, axis=axis) * w).sum(), x)
+
+    def test_block_repeat_values(self):
+        out = T.gather(T.tensor([[2.0, 3.0], [5.0, 7.0]]), [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(out.data, [[2.0, 2.0, 2.0, 3.0, 3.0], [5.0, 5.0, 5.0, 7.0, 7.0]])
+
+    @pytest.mark.parametrize("indices,axis", [([0, 4], 0), ([-1], 0), ([3], -1), ([0, -3], -1), (-1, 1)])
+    def test_out_of_range_raises(self, indices, axis):
+        x = T.tensor(np.zeros((4, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match="out of range"):
+            T.gather(x, indices, axis=axis)
+
+    @pytest.mark.parametrize("ids", [[[0, 7]], [[-1, 2]]])
+    def test_out_of_range_embedding_id_raises(self, ids):
+        with pytest.raises(ShapeError, match="out of range"):
+            T.embedding(T.tensor(np.zeros((7, 2)), requires_grad=True), np.array(ids))
+
+    def test_micro_batches_add_in_place(self):
+        """A second micro-batch adds each row term into the first one's
+        gradient in turn, so g1 + a + b is not rounded as g1 + (a + b)."""
+        table = T.tensor(self.rng.normal(size=(3, 8)), requires_grad=True)
+        ids = [self.rng.integers(0, 3, size=(4, 16)) for _ in range(2)]
+        weights = [self.rng.normal(size=(4, 16, 8)) * 10.0 ** self.rng.integers(-3, 4, size=(4, 16, 1))
+                   for _ in range(2)]
+
+        def micro_batch(i):
+            T.backward((T.embedding(table, ids[i]) * T.tensor(weights[i])).sum())
+
+        micro_batch(0)
+        expected = table.grad.copy()
+        micro_batch(1)
+        np.add.at(expected, ids[1], weights[1])
+        np.testing.assert_array_equal(table.grad, expected)
