@@ -67,12 +67,6 @@ class EmotionTaxonomy:
     def __len__(self) -> int:
         return len(self.emotions)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.emotions.index(name)
-        except ValueError:
-            raise SchemaError(f"unknown emotion {name!r}") from None
-
     def check_index(self, idx: int) -> int:
         if not 0 <= idx < len(self.emotions):
             raise SchemaError(f"emotion index {idx} outside taxonomy of size {len(self.emotions)}")
@@ -258,8 +252,3 @@ class AffectSchema:
         """high / low class index for an emotion index."""
         self.taxonomy.check_index(emotion)
         return HIGH if emotion in self.high_intensity else LOW
-
-    def affective_distance(self, i: int, j: int) -> float:
-        self.taxonomy.check_index(i)
-        self.taxonomy.check_index(j)
-        return self.table.distance(i, j)

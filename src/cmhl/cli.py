@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .affect import INTENSITY_LABELS, VALENCE_LABELS, AffectSchema, LossWeights
@@ -27,11 +28,11 @@ from .training import (
     Checkpoint,
     TrainConfig,
     accuracy,
-    evaluate,
     load_checkpoint,
     model_from_checkpoint,
     predict,
     save_checkpoint,
+    score,
     train,
     write_metrics_csv,
 )
@@ -72,12 +73,18 @@ def _integer(value, key: str) -> int:
 
 
 def _apply_overrides(base, overrides, section: str):
-    allowed = {f.name for f in dataclasses.fields(base)}
-    unknown = set(_object(overrides, section)) - allowed
+    hints = typing.get_type_hints(type(base))
+    unknown = set(_object(overrides, section)) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r} section: {sorted(unknown)}")
     if section == "train" and "seed" in overrides:
         raise ConfigError("set the seed at the top level, not inside 'train'")
+    for key, value in overrides.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)  # int | None -> (int, NoneType)
+        accepted = kinds + (int,) * (float in kinds)  # a float field also takes an integer
+        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):  # True is an int to Python
+            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"'{section}.{key}' must be {expected}, got {value!r}")
     return dataclasses.replace(base, **overrides)
 
 
@@ -180,6 +187,8 @@ def cmd_train(args) -> int:
     started = time.time()
     result = train(model, vocab, train_examples, cfg.train, validation=val_examples, lexicon=lexicon)
     wall = time.time() - started
+    for name, tensor in model.parameters().items():  # the selected checkpoint, not the last epoch
+        tensor.data[...] = result.best_params[name]
 
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(
@@ -224,14 +233,13 @@ def cmd_eval(args) -> int:
     schema = task.schema_type.from_jsonable(ckpt.schema_json)
     examples = task.load(args.corpus, schema)
 
-    metrics = evaluate(model, examples, ckpt.vocab, ckpt.train_config)
-    payload = metrics.to_jsonable()
+    y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)
+    payload = score(model, examples, y_pred, confs).to_jsonable()
     print(json.dumps(payload, indent=2))
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(json.dumps(payload, indent=2))
     if args.dump_predictions:
-        y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)
         Path(args.dump_predictions).parent.mkdir(parents=True, exist_ok=True)
         with open(args.dump_predictions, "w", newline="") as handle:
             writer = csv.writer(handle)

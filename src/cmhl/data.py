@@ -117,13 +117,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token(self, idx: int) -> str:
-        return self.tokens[idx]
-
-    def decode(self, ids) -> list[str]:
-        """Token strings for a row of ids, dropping [CLS] and [PAD]."""
-        return [self.tokens[i] for i in ids if i not in (CLS_ID, PAD_ID)]
-
     def to_jsonable(self) -> dict:
         return {"tokens": list(self.tokens), "min_frequency": self.min_frequency}
 

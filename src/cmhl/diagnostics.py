@@ -16,8 +16,8 @@ from .affect import AffectSchema, LossWeights
 from .data import LabeledExample, MHLabelSchema, build_vocab, encode_batch
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .heads import EmotionHeadParams, EmotionModel, emotion_heads_forward, exclusivity_loss, task_loss, total_loss
-from .mh import MHHeadParams, MHModel, mh_loss, mh_predict
+from .heads import EmotionModel, emotion_head_params, emotion_heads_forward, exclusivity_loss, task_loss, total_loss
+from .mh import MHModel, mh_head_params, mh_loss, mh_predict
 
 TOLERANCE = 1e-4
 
@@ -48,7 +48,7 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     rows: list[GradCheckRow] = []
     d = 8
     h_cls = T.tensor(rng.normal(size=(2, d)))
-    heads = EmotionHeadParams.init(6, d, rng)
+    heads = emotion_head_params(6, d, rng)
     labels = {
         "primary": np.array([1, 0]),
         "valence": np.array([0, 1]),
@@ -62,7 +62,7 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     # balanced task loss against the shared input and every head parameter
     offset = 1.0 if corrupt else 0.0
     row("task_loss", "h_cls", lambda t: task_loss(emotion_heads_forward(t, heads), labels, weights), h_cls, offset)
-    for name, tensor in heads.parameters().items():
+    for name, tensor in heads.items():
         row("task_loss", name, lambda t: task_loss(emotion_heads_forward(h_cls, heads), labels, weights), tensor)
 
     # exclusivity hinge through the softmax that produces the probabilities
@@ -85,7 +85,7 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     )
 
     # adaptive-weight objective, including the learnable weight itself
-    mh = MHHeadParams.init(5, d, rng, gate_dim=6)
+    mh = mh_head_params(5, d, rng, gate_dim=6)
     labels_m = np.array([2, 0])
     labels_s = np.array([1, -1])
 
@@ -95,7 +95,7 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
 
     h_mh = T.tensor(rng.normal(size=(2, d)))
     row("mh_loss", "h_cls", mh_objective, h_mh)
-    row("mh_loss", "mh.beta_raw", lambda t: mh_objective(h_mh), mh.beta_raw)
+    row("mh_loss", "mh.beta_raw", lambda t: mh_objective(h_mh), mh["mh.beta_raw"])
     return rows
 
 
@@ -127,14 +127,14 @@ def _gate_suite(corrupt: bool) -> list[GradCheckRow]:
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     labels = MHLabelSchema()
     model = MHModel.build(cfg, len(vocab), labels, seed=102)
-    model.heads = MHHeadParams.init(5, 8, np.random.default_rng(103), gate_dim=6)
+    model.heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
 
     def fn(_t):
         return model.loss(model.forward(batch), batch)
 
     rows = []
     offset = 1.0 if corrupt else 0.0
-    for name, tensor in model.heads.parameters().items():
+    for name, tensor in model.heads.items():
         rows.append(GradCheckRow("gate_mh_loss", name, T.finite_diff_check(fn, tensor, grad_offset=offset)))
         offset = 0.0
     return rows

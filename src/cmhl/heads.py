@@ -22,37 +22,16 @@ N_VALENCE = 3
 N_INTENSITY = 2
 
 
-@dataclass
-class EmotionHeadParams:
-    """Affine projections `[hidden -> classes]` for the three heads."""
-
-    w_e: T.Tensor
-    b_e: T.Tensor
-    w_v: T.Tensor
-    b_v: T.Tensor
-    w_i: T.Tensor
-    b_i: T.Tensor
-
-    @classmethod
-    def init(cls, num_emotions: int, hidden: int, rng: np.random.Generator) -> "EmotionHeadParams":
-        return cls(
-            w_e=T.param((hidden, num_emotions), rng),
-            b_e=T.zeros(num_emotions, requires_grad=True),
-            w_v=T.param((hidden, N_VALENCE), rng),
-            b_v=T.zeros(N_VALENCE, requires_grad=True),
-            w_i=T.param((hidden, N_INTENSITY), rng),
-            b_i=T.zeros(N_INTENSITY, requires_grad=True),
-        )
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return {
-            "head.w_e": self.w_e,
-            "head.b_e": self.b_e,
-            "head.w_v": self.w_v,
-            "head.b_v": self.b_v,
-            "head.w_i": self.w_i,
-            "head.b_i": self.b_i,
-        }
+def emotion_head_params(num_emotions: int, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""
+    return {
+        "head.w_e": T.param((hidden, num_emotions), rng),
+        "head.b_e": T.zeros(num_emotions, requires_grad=True),
+        "head.w_v": T.param((hidden, N_VALENCE), rng),
+        "head.b_v": T.zeros(N_VALENCE, requires_grad=True),
+        "head.w_i": T.param((hidden, N_INTENSITY), rng),
+        "head.b_i": T.zeros(N_INTENSITY, requires_grad=True),
+    }
 
 
 @dataclass
@@ -62,13 +41,14 @@ class EmotionPrediction:
     p_i: T.Tensor  # [batch, 2]
 
 
-def emotion_heads_forward(h_cls: T.Tensor, params: EmotionHeadParams) -> EmotionPrediction:
-    if h_cls.data.ndim != 2 or h_cls.shape[1] != params.w_e.shape[0]:
-        raise ShapeError(f"h_cls {h_cls.shape} does not match head input {params.w_e.shape[0]}")
+def emotion_heads_forward(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> EmotionPrediction:
+    hidden = params["head.w_e"].shape[0]
+    if h_cls.data.ndim != 2 or h_cls.shape[1] != hidden:
+        raise ShapeError(f"h_cls {h_cls.shape} does not match head input {hidden}")
     return EmotionPrediction(
-        p_e=T.softmax(T.linear(h_cls, params.w_e, params.b_e)),
-        p_v=T.softmax(T.linear(h_cls, params.w_v, params.b_v)),
-        p_i=T.softmax(T.linear(h_cls, params.w_i, params.b_i)),
+        p_e=T.softmax(T.linear(h_cls, params["head.w_e"], params["head.b_e"])),
+        p_v=T.softmax(T.linear(h_cls, params["head.w_v"], params["head.b_v"])),
+        p_i=T.softmax(T.linear(h_cls, params["head.w_i"], params["head.b_i"])),
     )
 
 
@@ -113,7 +93,7 @@ class EmotionModel:
 
     task = "emotion"
 
-    def __init__(self, encoder: Encoder, heads: EmotionHeadParams, schema: AffectSchema, weights: LossWeights):
+    def __init__(self, encoder: Encoder, heads: dict[str, T.Tensor], schema: AffectSchema, weights: LossWeights):
         self.encoder = encoder
         self.heads = heads
         self.schema = schema
@@ -130,11 +110,11 @@ class EmotionModel:
     ) -> "EmotionModel":
         rng = np.random.default_rng([seed, 1])
         encoder = Encoder(encoder_config, vocab_size, rng)
-        heads = EmotionHeadParams.init(len(schema.taxonomy), encoder_config.hidden, rng)
+        heads = emotion_head_params(len(schema.taxonomy), encoder_config.hidden, rng)
         return cls(encoder, heads, schema, weights)
 
     def parameters(self) -> dict[str, T.Tensor]:
-        return {**self.encoder.parameters(), **self.heads.parameters()}
+        return {**self.encoder.parameters(), **self.heads}
 
     @property
     def num_primary_classes(self) -> int:

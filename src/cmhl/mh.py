@@ -29,70 +29,28 @@ def _beta_raw_init(effective: float) -> float:
     return math.log(math.expm1(effective))
 
 
-@dataclass
-class MHHeadParams:
-    w_m: T.Tensor
-    b_m: T.Tensor
-    w_s: T.Tensor
-    b_s: T.Tensor
-    w_gate_in: T.Tensor  # [M+3, gate_dim]
-    b_gate_in: T.Tensor
-    w_gate_out: T.Tensor  # [gate_dim, 2]
-    b_gate_out: T.Tensor
-    w_fuse: T.Tensor  # [M+3, M]
-    b_fuse: T.Tensor
-    beta_raw: T.Tensor
-
-    @classmethod
-    def init(
-        cls,
-        num_categories: int,
-        hidden: int,
-        rng: np.random.Generator,
-        gate_dim: int = GATE_DIM,
-        severity_levels: int = SEVERITY_LEVELS,
-    ) -> "MHHeadParams":
-        feat = num_categories + severity_levels
-        return cls(
-            w_m=T.param((hidden, num_categories), rng),
-            b_m=T.zeros(num_categories, requires_grad=True),
-            w_s=T.param((hidden, severity_levels), rng),
-            b_s=T.zeros(severity_levels, requires_grad=True),
-            w_gate_in=T.param((feat, gate_dim), rng),
-            b_gate_in=T.zeros(gate_dim, requires_grad=True),
-            w_gate_out=T.param((gate_dim, 2), rng),
-            b_gate_out=T.zeros(2, requires_grad=True),
-            w_fuse=T.param((feat, num_categories), rng),
-            b_fuse=T.zeros(num_categories, requires_grad=True),
-            beta_raw=T.tensor(_beta_raw_init(BETA_INIT), requires_grad=True),
-        )
-
-    @property
-    def num_categories(self) -> int:
-        return self.w_m.shape[1]
-
-    @property
-    def severity_levels(self) -> int:
-        return self.w_s.shape[1]
-
-    @property
-    def block_sizes(self) -> tuple[int, int]:
-        return (self.num_categories, self.severity_levels)
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return {
-            "mh.w_m": self.w_m,
-            "mh.b_m": self.b_m,
-            "mh.w_s": self.w_s,
-            "mh.b_s": self.b_s,
-            "mh.gate.w_in": self.w_gate_in,
-            "mh.gate.b_in": self.b_gate_in,
-            "mh.gate.w_out": self.w_gate_out,
-            "mh.gate.b_out": self.b_gate_out,
-            "mh.fuse.w": self.w_fuse,
-            "mh.fuse.b": self.b_fuse,
-            "mh.beta_raw": self.beta_raw,
-        }
+def mh_head_params(
+    num_categories: int,
+    hidden: int,
+    rng: np.random.Generator,
+    gate_dim: int = GATE_DIM,
+    severity_levels: int = SEVERITY_LEVELS,
+) -> dict[str, T.Tensor]:
+    """Both heads, the gate `[M+S -> gate_dim -> 2]`, the fused head and `beta_raw`, by checkpoint name."""
+    feat = num_categories + severity_levels
+    return {
+        "mh.w_m": T.param((hidden, num_categories), rng),
+        "mh.b_m": T.zeros(num_categories, requires_grad=True),
+        "mh.w_s": T.param((hidden, severity_levels), rng),
+        "mh.b_s": T.zeros(severity_levels, requires_grad=True),
+        "mh.gate.w_in": T.param((feat, gate_dim), rng),
+        "mh.gate.b_in": T.zeros(gate_dim, requires_grad=True),
+        "mh.gate.w_out": T.param((gate_dim, 2), rng),
+        "mh.gate.b_out": T.zeros(2, requires_grad=True),
+        "mh.fuse.w": T.param((feat, num_categories), rng),
+        "mh.fuse.b": T.zeros(num_categories, requires_grad=True),
+        "mh.beta_raw": T.tensor(_beta_raw_init(BETA_INIT), requires_grad=True),
+    }
 
 
 @dataclass
@@ -103,18 +61,19 @@ class MHPrediction:
     p_final: T.Tensor  # [batch, M] fused prediction
 
 
-def mh_heads_forward(h_cls: T.Tensor, params: MHHeadParams) -> tuple[T.Tensor, T.Tensor]:
-    if h_cls.data.ndim != 2 or h_cls.shape[1] != params.w_m.shape[0]:
-        raise ShapeError(f"h_cls {h_cls.shape} does not match head input {params.w_m.shape[0]}")
-    p_m = T.softmax(T.linear(h_cls, params.w_m, params.b_m))
-    p_s = T.softmax(T.linear(h_cls, params.w_s, params.b_s))
+def mh_heads_forward(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> tuple[T.Tensor, T.Tensor]:
+    hidden = params["mh.w_m"].shape[0]
+    if h_cls.data.ndim != 2 or h_cls.shape[1] != hidden:
+        raise ShapeError(f"h_cls {h_cls.shape} does not match head input {hidden}")
+    p_m = T.softmax(T.linear(h_cls, params["mh.w_m"], params["mh.b_m"]))
+    p_s = T.softmax(T.linear(h_cls, params["mh.w_s"], params["mh.b_s"]))
     return p_m, p_s
 
 
-def gate_weights(features: T.Tensor, params: MHHeadParams) -> T.Tensor:
+def gate_weights(features: T.Tensor, params: dict[str, T.Tensor]) -> T.Tensor:
     """Two softmax weights from the concatenated head outputs."""
-    hidden = T.relu(T.linear(features, params.w_gate_in, params.b_gate_in))
-    return T.softmax(T.linear(hidden, params.w_gate_out, params.b_gate_out))
+    hidden = T.relu(T.linear(features, params["mh.gate.w_in"], params["mh.gate.b_in"]))
+    return T.softmax(T.linear(hidden, params["mh.gate.w_out"], params["mh.gate.b_out"]))
 
 
 def gated_fusion_product(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, int]) -> T.Tensor:
@@ -123,23 +82,24 @@ def gated_fusion_product(features: T.Tensor, gate: T.Tensor, sizes: tuple[int, i
     return T.gather(gate, [0] * m + [1] * s) * features
 
 
-def final_prediction(fused: T.Tensor, params: MHHeadParams) -> T.Tensor:
-    if fused.shape[-1] != params.w_fuse.shape[0]:
-        raise ShapeError(f"fused features {fused.shape} do not match {params.w_fuse.shape[0]}")
-    return T.softmax(T.linear(fused, params.w_fuse, params.b_fuse))
+def final_prediction(fused: T.Tensor, params: dict[str, T.Tensor]) -> T.Tensor:
+    width = params["mh.fuse.w"].shape[0]
+    if fused.shape[-1] != width:
+        raise ShapeError(f"fused features {fused.shape} do not match {width}")
+    return T.softmax(T.linear(fused, params["mh.fuse.w"], params["mh.fuse.b"]))
 
 
-def mh_predict(h_cls: T.Tensor, params: MHHeadParams) -> MHPrediction:
+def mh_predict(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:
     """Both heads, the gate, the gated fusion and the final head on the CLS vector."""
     p_m, p_s = mh_heads_forward(h_cls, params)
     features = T.concat([p_m, p_s])
     gate = gate_weights(features, params)
-    fused = gated_fusion_product(features, gate, params.block_sizes)
+    fused = gated_fusion_product(features, gate, (p_m.shape[1], p_s.shape[1]))
     return MHPrediction(p_m=p_m, p_s=p_s, gate=gate, p_final=final_prediction(fused, params))
 
 
-def effective_beta(params: MHHeadParams) -> T.Tensor:
-    return T.softplus(params.beta_raw)
+def effective_beta(params: dict[str, T.Tensor]) -> T.Tensor:
+    return T.softplus(params["mh.beta_raw"])
 
 
 def mh_loss(
@@ -147,7 +107,7 @@ def mh_loss(
     p_s: T.Tensor,
     labels_m: np.ndarray,
     labels_s: np.ndarray,
-    params: MHHeadParams,
+    params: dict[str, T.Tensor],
 ) -> T.Tensor:
     """Diagnosis cross-entropy plus the softplus-weighted severity term.
 
@@ -171,7 +131,7 @@ class MHModel:
     task = "mental_health"
     weights = None  # no fixed loss weights: the severity weight is learned
 
-    def __init__(self, encoder: Encoder, heads: MHHeadParams, labels: MHLabelSchema):
+    def __init__(self, encoder: Encoder, heads: dict[str, T.Tensor], labels: MHLabelSchema):
         self.encoder = encoder
         self.heads = heads
         self.labels = labels
@@ -180,16 +140,13 @@ class MHModel:
     def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int) -> "MHModel":
         rng = np.random.default_rng([seed, 2])
         encoder = Encoder(encoder_config, vocab_size, rng)
-        heads = MHHeadParams.init(
-            len(labels.categories),
-            encoder_config.hidden,
-            rng,
-            severity_levels=labels.severity_levels,
+        heads = mh_head_params(
+            len(labels.categories), encoder_config.hidden, rng, severity_levels=labels.severity_levels
         )
         return cls(encoder, heads, labels)
 
     def parameters(self) -> dict[str, T.Tensor]:
-        return {**self.encoder.parameters(), **self.heads.parameters()}
+        return {**self.encoder.parameters(), **self.heads}
 
     @property
     def num_primary_classes(self) -> int:

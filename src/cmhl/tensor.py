@@ -92,9 +92,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -146,9 +143,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
 
     def __truediv__(self, scalar: float) -> "Tensor":
         return self * (1.0 / float(scalar))

@@ -74,10 +74,6 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be >= 1 when set")
 
     @classmethod
-    def emotion_preset(cls) -> "TrainConfig":
-        return cls()
-
-    @classmethod
     def mental_health_preset(cls) -> "TrainConfig":
         return cls(
             learning_rate=1.5e-5,
@@ -243,10 +239,10 @@ def _f1_recall(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):
     return float(np.mean(f1s)), tuple(recalls)
 
 
-def evaluate(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> Metrics:
+def score(model, examples: list[LabeledExample], y_pred: np.ndarray, confs: np.ndarray) -> Metrics:
+    """Metrics of predictions made by ``predict`` against the examples' labels."""
     if not examples:
         raise DataError("evaluation requires a non-empty example set")
-    y_pred, confs = predict(model, examples, vocab, config)
     y_true = np.array([ex.emotion for ex in examples])
     num_classes = model.num_primary_classes
     macro_f1, recalls = _f1_recall(y_true, y_pred, num_classes)
@@ -258,6 +254,10 @@ def evaluate(model, examples: list[LabeledExample], vocab: Vocabulary, config: T
         mean_confidence=mean_conf,
         combined_score=combined_score(macro_f1, mean_conf),
     )
+
+
+def evaluate(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> Metrics:
+    return score(model, examples, *predict(model, examples, vocab, config))
 
 
 def accuracy(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> float:
@@ -330,7 +330,6 @@ def train(
     history: list[Metrics] = []
     epoch_losses: list[float] = []
     best_index = -1
-    best_score = -np.inf
     best_params: dict[str, np.ndarray] = {}
     stopped_early = False
     global_step = 0
@@ -381,9 +380,8 @@ def train(
 
         metrics = evaluate(model, val_examples, vocab, config)
         history.append(metrics)
-        if metrics.combined_score > best_score:
-            best_score = metrics.combined_score
-            best_index = len(history) - 1
+        best_index = select_checkpoint(history)
+        if best_index == len(history) - 1:
             best_params = {k: v.data.copy() for k, v in params.items()}
         if (
             config.early_stop_patience is not None
@@ -500,7 +498,7 @@ class Task:
 TASKS = {
     "emotion": Task(
         schema_type=AffectSchema,
-        preset=TrainConfig.emotion_preset,
+        preset=TrainConfig,
         load=lambda path, schema: load_corpus(path, schema)[0],
         build=EmotionModel.build,
     ),

@@ -32,7 +32,7 @@ def synthetic_emotion_examples(n: int, seed: int, schema: AffectSchema) -> list[
         words = list(rng.choice(CLASS_WORDS[name], size=3, replace=True))
         words += list(rng.choice(FILLERS, size=3, replace=True))
         rng.shuffle(words)
-        emotion = schema.taxonomy.index(name)
+        emotion = schema.names.index(name)
         examples.append(
             LabeledExample(
                 text=" ".join(words),
@@ -65,7 +65,7 @@ def contradiction_examples(n: int, seed: int, schema: AffectSchema) -> list[Labe
         words += list(rng.choice(FILLERS, size=2, replace=True))
         rng.shuffle(words)
         name = "joy" if i % 2 == 0 else "anger"
-        emotion = schema.taxonomy.index(name)
+        emotion = schema.names.index(name)
         examples.append(
             LabeledExample(
                 text=" ".join(words),

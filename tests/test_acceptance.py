@@ -18,7 +18,7 @@ from cmhl.data import build_vocab, encode_batch, LabeledExample
 from cmhl.diagnostics import run_gradcheck
 from cmhl.encoder import EncoderConfig
 from cmhl.heads import EmotionModel, exclusivity_loss
-from cmhl.mh import MHHeadParams, gate_weights, gated_fusion_product
+from cmhl.mh import gate_weights, gated_fusion_product, mh_head_params
 from cmhl.training import (
     Checkpoint,
     Metrics,
@@ -64,7 +64,7 @@ def test_c2_affect_label_derivation(default_schema):
         "surprise": (2, 0),  # neutral, high
     }
     for name, (valence, intensity) in expected.items():
-        idx = default_schema.taxonomy.index(name)
+        idx = default_schema.names.index(name)
         first = (default_schema.derive_valence(idx), default_schema.derive_intensity(idx))
         second = (default_schema.derive_valence(idx), default_schema.derive_intensity(idx))
         assert first == (valence, intensity), name
@@ -97,7 +97,7 @@ def test_c3_exclusivity_oracle(default_schema):
 
 
 def test_c4_gating_algebra():
-    heads = MHHeadParams.init(5, 8, np.random.default_rng(44), gate_dim=16)
+    heads = mh_head_params(5, 8, np.random.default_rng(44), gate_dim=16)
     rng = np.random.default_rng(45)
     feats = T.tensor(rng.normal(size=(1000, 8)))
     gate = gate_weights(feats, heads)
@@ -178,7 +178,7 @@ def overfit_corpus(schema):
     out = []
     for i in range(64):
         name = names[i % 6]
-        emotion = schema.taxonomy.index(name)
+        emotion = schema.names.index(name)
         out.append(
             LabeledExample(
                 text=" ".join(CLASS_WORDS[name][:3]),
@@ -250,8 +250,8 @@ def test_c8_desk_scale_directional_run(default_schema):
         train(m, v, fixture, cfg, validation=fixture)
         batch = encode_batch(fixture, v, 10)
         pe = m.forward(batch).p_e.data
-        joy = default_schema.taxonomy.index("joy")
-        anger = default_schema.taxonomy.index("anger")
+        joy = default_schema.names.index("joy")
+        anger = default_schema.names.index("anger")
         return float((pe[:, joy] + pe[:, anger]).mean())
 
     constrained = joy_anger_mass(0.4)

@@ -16,6 +16,7 @@ from cmhl.affect import (
     ThresholdMatrix,
     build_threshold_matrix,
 )
+from cmhl.data import label_index
 from cmhl.errors import ConfigError, SchemaError
 
 
@@ -38,7 +39,7 @@ CASES = {
 class TestDerivations:
     @pytest.mark.parametrize("name,expected", CASES.items())
     def test_case_sweep(self, schema, name, expected):
-        idx = schema.taxonomy.index(name)
+        idx = schema.names.index(name)
         assert (schema.derive_valence(idx), schema.derive_intensity(idx)) == expected
 
     def test_every_emotion_maps_to_exactly_one_of_each(self, schema):
@@ -55,20 +56,20 @@ class TestDerivations:
         with pytest.raises(SchemaError):
             schema.derive_valence(99)
         with pytest.raises(SchemaError):
-            schema.taxonomy.index("ennui")
+            label_index("ennui", schema.names, "emotion")
 
 
 class TestAffectiveDistance:
     def test_self_distance_zero(self, schema):
         for idx in range(len(schema.taxonomy)):
-            assert schema.affective_distance(idx, idx) == 0.0
+            assert schema.table.distance(idx, idx) == 0.0
 
     def test_symmetry_and_range(self, schema):
         n = len(schema.taxonomy)
         for i in range(n):
             for j in range(n):
-                d = schema.affective_distance(i, j)
-                assert d == schema.affective_distance(j, i)
+                d = schema.table.distance(i, j)
+                assert d == schema.table.distance(j, i)
                 assert 0.0 <= d <= 1.0
 
     def test_maximizing_pair_reaches_one(self, schema):
@@ -77,18 +78,18 @@ class TestAffectiveDistance:
         n = len(coords)
         raw = {(i, j): math.dist(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)}
         best_pair = max(raw, key=raw.get)
-        assert schema.affective_distance(*best_pair) == pytest.approx(1.0, abs=1e-15)
+        assert schema.table.distance(*best_pair) == pytest.approx(1.0, abs=1e-15)
         # every other pair is strictly below 1 in the default table
         for pair, dist in raw.items():
             if pair != best_pair:
-                assert schema.affective_distance(*pair) < 1.0
+                assert schema.table.distance(*pair) < 1.0
 
     def test_zero_iff_identical_coordinates(self, schema):
         coords = schema.table.coords
         n = len(coords)
         for i in range(n):
             for j in range(n):
-                d = schema.affective_distance(i, j)
+                d = schema.table.distance(i, j)
                 assert (d == 0.0) == (coords[i] == coords[j])
 
 
@@ -121,7 +122,7 @@ class TestThresholdMatrix:
 
     def test_negative_scale_non_increasing_in_distance(self, schema):
         tm = build_threshold_matrix(0.8, -0.3, schema.table, schema.taxonomy)
-        pairs = sorted(tm.tau, key=lambda p: schema.affective_distance(*p))
+        pairs = sorted(tm.tau, key=lambda p: schema.table.distance(*p))
         for near, far in zip(pairs, pairs[1:]):
             assert tm.get(*far) <= tm.get(*near) + 1e-12
 

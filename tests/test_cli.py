@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import cmhl
+import cmhl.cli
+import cmhl.training
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from cmhl.data import MHLabelSchema
-from cmhl.training import load_checkpoint, model_from_checkpoint, predict
+from cmhl.data import MHLabelSchema, load_corpus, split_examples
+from cmhl.training import accuracy, load_checkpoint, model_from_checkpoint, predict
 
 from conftest import mixed_length_examples, synthetic_emotion_examples, write_corpus_jsonl
 
@@ -160,6 +162,12 @@ class TestTrain:
             ({"encoder": "small"}, "'encoder'"),
             ({"paths": {"train": 5}}, "'paths.train'"),
             ({"paths": {"output": ["run"]}}, "'paths.output'"),
+            ({"train": {"epochs": "1"}}, "'train.epochs'"),
+            ({"train": {"batch_size": 2.0}}, "'train.batch_size'"),
+            ({"encoder": {**TOY_ENCODER, "dropout": "0.1"}}, "'encoder.dropout'"),
+            ({"loss_weights": {"alpha1": "0.3"}}, "'loss_weights.alpha1'"),
+            ({"train": {"augment": "yes"}}, "'train.augment'"),
+            ({"train": {"early_stop_patience": 1.5}}, "'train.early_stop_patience'"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
@@ -204,6 +212,18 @@ class TestTrain:
         raw["paths"]["train"] = str(tmp_path / "missing.jsonl")
         cfg.write_text(json.dumps(raw))
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+
+    def test_train_accuracy_is_the_checkpoints(self, tmp_path, corpus, default_schema):
+        """With early stopping after a worse epoch, the summary scores the
+        saved checkpoint on the training split, not the last epoch's weights."""
+        train = {"epochs": 6, "max_seq_len": 16, "learning_rate": 0.03, "warmup": 0, "early_stop_patience": 1}
+        assert main(["train", "--config", str(toy_config(tmp_path, train=train))]) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["stopped_early"] and summary["best_epoch"] < summary["epochs_run"]
+        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint")
+        train_split, _ = split_examples(load_corpus(corpus, default_schema)[0], 4, ckpt.train_config.validation_fraction)
+        expected = accuracy(model_from_checkpoint(ckpt), train_split, ckpt.vocab, ckpt.train_config)
+        assert summary["train_accuracy"] == expected
 
 
 MH_WORDS = {
@@ -314,7 +334,7 @@ class TestTrainMentalHealth:
         ckpt = load_checkpoint(tmp_path / "run" / "checkpoint")
         model = model_from_checkpoint(ckpt)
         assert model.labels == labels
-        assert model.heads.block_sizes == (3, 4)
+        assert model.heads["mh.w_m"].shape[1] == 3 and model.heads["mh.w_s"].shape[1] == 4
         params = model.parameters()
         assert set(params) == set(ckpt.tensors)
         for name, tensor in params.items():
@@ -392,6 +412,20 @@ class TestEval:
         assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and offender in err
+
+    def test_one_predict_pass(self, tmp_path, corpus, trained, monkeypatch):
+        """The metrics and ``--dump-predictions`` share one prediction pass."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(cmhl.training, "predict", counted)
+        monkeypatch.setattr(cmhl.cli, "predict", counted)
+        argv = ["eval", str(trained), str(corpus), "--dump-predictions", str(tmp_path / "preds.csv")]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
 
     def test_output_file(self, tmp_path, corpus, trained):
         out = tmp_path / "metrics.json"

@@ -44,7 +44,7 @@ class TestLoadCorpus:
         examples, rejected = load_corpus(path, schema)
         assert not rejected
         ex = examples[0]
-        assert ex.emotion == schema.taxonomy.index("joy")
+        assert ex.emotion == schema.names.index("joy")
         assert ex.valence == POSITIVE
         assert ex.intensity == HIGH
 
@@ -271,7 +271,8 @@ class TestEncodeBatch:
         vocab = build_vocab([LabeledExample(text="alpha beta gamma", emotion=0)], min_freq=1)
         tokens = tokenize("beta alpha gamma")
         batch = encode_batch([LabeledExample(text="beta alpha gamma", emotion=0)], vocab, max_len=8)
-        assert vocab.decode(batch.token_ids[0]) == tokens
+        assert batch.token_ids[0].tolist() == [CLS_ID] + [vocab.id(t) for t in tokens] + [PAD_ID] * 4
+        assert [vocab.tokens[i] for i in batch.token_ids[0][1:4]] == tokens
 
     def test_label_arrays(self):
         vocab = build_vocab([LabeledExample(text="x", emotion=0)], min_freq=1)
@@ -333,7 +334,7 @@ class TestAugmentation:
     def test_rederivation_after_augment_is_noop(self, schema):
         ex = LabeledExample(
             text="happy happy joy",
-            emotion=schema.taxonomy.index("joy"),
+            emotion=schema.names.index("joy"),
             valence=POSITIVE,
             intensity=HIGH,
         )

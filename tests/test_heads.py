@@ -11,8 +11,8 @@ from cmhl.data import LabeledExample, build_vocab, encode_batch
 from cmhl.encoder import EncoderConfig
 from cmhl.errors import DataError
 from cmhl.heads import (
-    EmotionHeadParams,
     EmotionModel,
+    emotion_head_params,
     emotion_heads_forward,
     exclusivity_loss,
     task_loss,
@@ -27,8 +27,8 @@ def schema():
 
 def zero_heads(num_emotions=6, hidden=4):
     rng = np.random.default_rng(0)
-    heads = EmotionHeadParams.init(num_emotions, hidden, rng)
-    for t in heads.parameters().values():
+    heads = emotion_head_params(num_emotions, hidden, rng)
+    for t in heads.values():
         t.data[...] = 0.0
     return heads
 
@@ -59,7 +59,7 @@ class TestHeadsForward:
         np.testing.assert_allclose(preds.p_i.data, 1 / 2, atol=1e-15)
 
     def test_output_shapes(self):
-        heads = EmotionHeadParams.init(6, 8, np.random.default_rng(2))
+        heads = emotion_head_params(6, 8, np.random.default_rng(2))
         preds = emotion_heads_forward(T.tensor(np.zeros((5, 8))), heads)
         assert preds.p_e.shape == (5, 6)
         assert preds.p_v.shape == (5, 3)
@@ -67,7 +67,7 @@ class TestHeadsForward:
 
     def test_hand_computed_two_dim(self):
         heads = zero_heads(num_emotions=2, hidden=2)
-        heads.w_e.data[...] = np.eye(2)
+        heads["head.w_e"].data[...] = np.eye(2)
         preds = emotion_heads_forward(T.tensor([[1.0, 0.0]]), heads)
         np.testing.assert_allclose(
             preds.p_e.data, [[0.7310585786300049, 0.2689414213699951]], atol=1e-12
@@ -76,7 +76,7 @@ class TestHeadsForward:
     def test_dimension_mismatch_rejected(self):
         from cmhl.errors import ShapeError
 
-        heads = EmotionHeadParams.init(6, 8, np.random.default_rng(0))
+        heads = emotion_head_params(6, 8, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             emotion_heads_forward(T.tensor(np.zeros((2, 5))), heads)
 
@@ -137,7 +137,7 @@ class TestExclusivityLoss:
 
     def test_one_hot_joy_uniform_tau(self, schema):
         p = np.zeros(6)
-        p[schema.taxonomy.index("joy")] = 1.0
+        p[schema.names.index("joy")] = 1.0
         tau = uniform_tau(schema, 0.8)
         loss = exclusivity_loss(T.tensor(p), tau, schema.taxonomy)
         # three joy-negative pairs active at 0.2 each; love pairs contribute 0
@@ -162,7 +162,7 @@ class TestExclusivityLoss:
     def test_batch_mean_semantics(self, schema):
         tau = uniform_tau(schema, 0.5)
         p1 = np.zeros(6)
-        p1[schema.taxonomy.index("joy")] = 1.0
+        p1[schema.names.index("joy")] = 1.0
         p2 = np.full(6, 1 / 6)
         single = exclusivity_loss(T.tensor(p1), tau, schema.taxonomy).item()
         batch = exclusivity_loss(T.tensor(np.stack([p1, p2])), tau, schema.taxonomy).item()
@@ -172,14 +172,14 @@ class TestExclusivityLoss:
     def test_hinge_monotone_in_pair_mass(self, schema):
         # moving mass onto an opposing pair never lowers the penalty
         tau = uniform_tau(schema, 0.4)
-        joy, anger = schema.taxonomy.index("joy"), schema.taxonomy.index("anger")
+        joy, anger = schema.names.index("joy"), schema.names.index("anger")
         base = np.full(6, 1 / 6)
         prev = -1.0
         for bump in np.linspace(0.0, 0.3, 7):
             p = base.copy()
             p[joy] += bump
             p[anger] += bump
-            p[schema.taxonomy.index("surprise")] -= 2 * bump
+            p[schema.names.index("surprise")] -= 2 * bump
             value = exclusivity_loss(T.tensor(p), tau, schema.taxonomy).item()
             assert value >= prev - 1e-12
             prev = value
@@ -209,13 +209,13 @@ class TestTotalLoss:
     def test_arithmetic(self, schema):
         # task 1.19 plus 0.4 * 0.6 exclusivity = 1.43
         p_e = np.zeros(6)
-        p_e[schema.taxonomy.index("joy")] = 1.0
+        p_e[schema.names.index("joy")] = 1.0
         from cmhl.heads import EmotionPrediction
 
         base = preds_with_losses(1.0, 0.5, 0.2)
         preds = EmotionPrediction(p_e=T.tensor([p_e]), p_v=base.p_v, p_i=base.p_i)
         labels = {
-            "primary": np.array([schema.taxonomy.index("joy")]),
+            "primary": np.array([schema.names.index("joy")]),
             "valence": np.array([0]),
             "intensity": np.array([0]),
         }
@@ -263,6 +263,6 @@ class TestTotalLoss:
         batch = encode_batch(examples, vocab, 4)
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
         model = EmotionModel.build(cfg, len(vocab), schema, LossWeights(), seed=4)
-        for name, tensor in model.heads.parameters().items():
+        for name, tensor in model.heads.items():
             err = T.finite_diff_check(lambda t: model.loss(model.forward(batch), batch), tensor)
             assert err < 1e-4, f"{name}: {err:.3e}"

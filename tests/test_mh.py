@@ -11,23 +11,23 @@ from cmhl.encoder import EncoderConfig
 from cmhl.errors import DataError
 from cmhl.mh import (
     BETA_INIT,
-    MHHeadParams,
     MHModel,
     effective_beta,
     final_prediction,
     gate_weights,
     gated_fusion_product,
+    mh_head_params,
     mh_heads_forward,
     mh_loss,
 )
 
 
 def make_heads(num_categories=5, hidden=8, gate_dim=4, seed=0):
-    return MHHeadParams.init(num_categories, hidden, np.random.default_rng(seed), gate_dim=gate_dim)
+    return mh_head_params(num_categories, hidden, np.random.default_rng(seed), gate_dim=gate_dim)
 
 
 def zeroed(heads):
-    for name, t in heads.parameters().items():
+    for name, t in heads.items():
         if name != "mh.beta_raw":
             t.data[...] = 0.0
     return heads
@@ -70,8 +70,8 @@ class TestGate:
 
     def test_hand_fixture_closed_form(self):
         heads = zeroed(make_heads(gate_dim=1))
-        heads.w_gate_in.data[0, 0] = 1.0  # picks out the first feature
-        heads.w_gate_out.data[0, 0] = 1.0
+        heads["mh.gate.w_in"].data[0, 0] = 1.0  # picks out the first feature
+        heads["mh.gate.w_out"].data[0, 0] = 1.0
         feats = np.zeros((1, 8))
         feats[0, 0] = 1.0
         a = gate_weights(T.tensor(feats), heads)
@@ -136,13 +136,13 @@ class TestFinalPrediction:
         p_m, p_s = mh_heads_forward(h, heads)
         feats = T.concat([p_m, p_s])
         gate = gate_weights(feats, heads)
-        fused = gated_fusion_product(feats, gate, heads.block_sizes)
+        fused = gated_fusion_product(feats, gate, (p_m.shape[1], p_s.shape[1]))
         out = final_prediction(fused, heads)
         T.backward(T.cross_entropy(out, [0, 1]))
-        assert heads.w_gate_in.grad is not None
-        assert np.abs(heads.w_gate_in.grad).max() > 0.0
-        assert np.abs(heads.w_m.grad).max() > 0.0
-        assert np.abs(heads.w_s.grad).max() > 0.0
+        assert heads["mh.gate.w_in"].grad is not None
+        assert np.abs(heads["mh.gate.w_in"].grad).max() > 0.0
+        assert np.abs(heads["mh.w_m"].grad).max() > 0.0
+        assert np.abs(heads["mh.w_s"].grad).max() > 0.0
 
 
 def ce_probs(target_ce, k, rows=1):
@@ -159,7 +159,7 @@ class TestMhLoss:
 
     def test_all_unlabeled_drops_severity_term(self):
         heads = make_heads()
-        heads.beta_raw.data[...] = 50.0  # absurd beta must not matter
+        heads["mh.beta_raw"].data[...] = 50.0  # absurd beta must not matter
         loss = mh_loss(ce_probs(0.9, 5), ce_probs(0.5, 3), np.array([0]), np.array([-1]), heads)
         assert loss.item() == pytest.approx(0.9, abs=1e-12)
 
@@ -183,7 +183,7 @@ class TestMhLoss:
     def test_beta_stays_positive(self):
         heads = make_heads()
         for raw in (-100.0, -5.0, 0.0, 5.0, 100.0):
-            heads.beta_raw.data[...] = raw
+            heads["mh.beta_raw"].data[...] = raw
             assert effective_beta(heads).item() > 0.0
 
     def test_beta_gradient_finite_difference(self):
@@ -194,7 +194,7 @@ class TestMhLoss:
         def fn(beta_raw):
             return mh_loss(p_final, p_s, np.array([0]), np.array([0]), heads)
 
-        err = T.finite_diff_check(fn, heads.beta_raw, eps=1e-5)
+        err = T.finite_diff_check(fn, heads["mh.beta_raw"], eps=1e-5)
         assert err < 1e-4
 
 
@@ -248,5 +248,5 @@ class TestMHModel:
         model = MHModel.build(cfg, len(vocab), MHLabelSchema(), seed=3)
         preds = model.forward(batch)
         T.backward(model.loss(preds, batch))
-        assert model.heads.beta_raw.grad is not None
-        assert abs(float(model.heads.beta_raw.grad)) > 0.0
+        assert model.heads["mh.beta_raw"].grad is not None
+        assert abs(float(model.heads["mh.beta_raw"].grad)) > 0.0

@@ -1,5 +1,8 @@
-"""The benchmark harness's self-test still runs against the package."""
+"""Repository checks: the benchmark harness's self-test still runs against
+the package, and every definition in the package has a user."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +18,21 @@ def test_perfbench_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_no_uncalled_definitions():
+    """Every function, method and class in ``src/cmhl`` (dunders aside) is
+    named, as a whole word, somewhere in ``src/`` or ``perfbench/`` besides
+    its own definition; code only tests use does not count."""
+    sources = [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    definitions = {}
+    for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    definitions[node.name] = definitions.get(node.name, 0) + 1
+    unused = sorted(
+        name for name, count in definitions.items()
+        if sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in sources) <= count
+    )
+    assert unused == [], f"defined in src/cmhl but used nowhere in src/ or perfbench/: {unused}"

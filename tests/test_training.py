@@ -320,7 +320,7 @@ class TestTrainLoop:
         assert result.best_index == select_checkpoint(result.history)
 
     def test_preset_values_pinned(self):
-        emotion = TrainConfig.emotion_preset()
+        emotion = training.TASKS["emotion"].preset()
         assert (emotion.learning_rate, emotion.weight_decay) == (2e-5, 0.01)
         assert (emotion.warmup, emotion.batch_size) == (0.1, 16)
         assert (emotion.grad_accumulation_steps, emotion.epochs) == (2, 5)
