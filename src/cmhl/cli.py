@@ -15,14 +15,13 @@ import json
 import os
 import sys
 import time
-import typing
 from pathlib import Path
 
 from .affect import INTENSITY_LABELS, VALENCE_LABELS, AffectSchema, LossWeights
 from .data import build_vocab, default_lexicon, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, NumericError, read_json_object
+from .errors import ConfigError, DataError, NumericError, check_fields, json_object, read_json_object
 from .training import (
     TASKS,
     Checkpoint,
@@ -60,12 +59,6 @@ class RunConfig:
     vocab_min_freq: int
 
 
-def _object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
-
-
 def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
@@ -73,18 +66,9 @@ def _integer(value, key: str) -> int:
 
 
 def _apply_overrides(base, overrides, section: str):
-    hints = typing.get_type_hints(type(base))
-    unknown = set(_object(overrides, section)) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r} section: {sorted(unknown)}")
+    check_fields(type(base), overrides, section)
     if section == "train" and "seed" in overrides:
         raise ConfigError("set the seed at the top level, not inside 'train'")
-    for key, value in overrides.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)  # int | None -> (int, NoneType)
-        accepted = kinds + (int,) * (float in kinds)  # a float field also takes an integer
-        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):  # True is an int to Python
-            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"'{section}.{key}' must be {expected}, got {value!r}")
     return dataclasses.replace(base, **overrides)
 
 
@@ -98,7 +82,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
 
     paths = dict.fromkeys(_PATH_KEYS)
-    paths.update(_object(raw.get("paths", {}), "paths"))
+    paths.update(json_object(raw.get("paths", {}), "paths"))
     if set(paths) - set(_PATH_KEYS):
         raise ConfigError(f"unknown keys in 'paths': {sorted(set(paths) - set(_PATH_KEYS))}")
     for key, value in paths.items():

@@ -35,11 +35,13 @@ class GradCheckRow:
         return self.error < TOLERANCE
 
 
-def _toy_texts():
-    return [
+def _toy_batch():
+    examples = [
         LabeledExample(text="glow warm bright", emotion=1, valence=0, intensity=0),
         LabeledExample(text="dust cold gray still", emotion=0, valence=1, intensity=1),
     ]
+    vocab = build_vocab(examples, min_freq=1)
+    return vocab, encode_batch(examples, vocab, 5)
 
 
 def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
@@ -99,45 +101,40 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
     return rows
 
 
+def _parameter_rows(component: str, fn, params: dict[str, T.Tensor], corrupt: bool) -> list[GradCheckRow]:
+    """One row per parameter that ``fn`` reads; ``corrupt`` offsets the first analytic gradient."""
+    offsets = [1.0 if corrupt else 0.0] + [0.0] * len(params)
+    return [GradCheckRow(component, name, T.finite_diff_check(fn, tensor, grad_offset=offset))
+            for (name, tensor), offset in zip(params.items(), offsets)]
+
+
 def _encoder_suite(corrupt: bool) -> list[GradCheckRow]:
     schema = AffectSchema.default()
-    examples = _toy_texts()
-    vocab = build_vocab(examples, min_freq=1)
-    batch = encode_batch(examples, vocab, 5)
+    vocab, batch = _toy_batch()
     cfg = EncoderConfig(layers=2, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     model = EmotionModel.build(cfg, len(vocab), schema, LossWeights(), seed=101)
 
     def fn(_t):
         return model.loss(model.forward(batch), batch)
 
-    rows = []
-    offset = 1.0 if corrupt else 0.0
-    for name, tensor in model.encoder.parameters().items():
-        rows.append(GradCheckRow("encoder_total_loss", name, T.finite_diff_check(fn, tensor, grad_offset=offset)))
-        offset = 0.0
-    return rows
+    return _parameter_rows("encoder_total_loss", fn, model.encoder.parameters(), corrupt)
 
 
 def _gate_suite(corrupt: bool) -> list[GradCheckRow]:
-    examples = _toy_texts()
-    vocab = build_vocab(examples, min_freq=1)
-    batch = encode_batch(examples, vocab, 5)
+    vocab, batch = _toy_batch()
     batch.labels["primary"] = np.array([1, 3])
     batch.labels["intensity"] = np.array([2, -1])
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     labels = MHLabelSchema()
     model = MHModel.build(cfg, len(vocab), labels, seed=102)
     model.heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
+    with T.no_grad():  # no head parameter reaches the encoder, so its CLS vector is a constant
+        h_cls = model.encoder.forward(batch)
 
     def fn(_t):
-        return model.loss(model.forward(batch), batch)
+        return model.loss(mh_predict(h_cls, model.heads), batch)
 
-    rows = []
-    offset = 1.0 if corrupt else 0.0
-    for name, tensor in model.heads.items():
-        rows.append(GradCheckRow("gate_mh_loss", name, T.finite_diff_check(fn, tensor, grad_offset=offset)))
-        offset = 0.0
-    return rows
+    return _parameter_rows("gate_mh_loss", fn, model.heads, corrupt)
 
 
 def run_gradcheck(scope: str = "all", corrupt: bool = False) -> list[GradCheckRow]:

@@ -1,4 +1,4 @@
-"""Compact pre-norm transformer encoder with CLS pooling.
+"""Compact pre-norm transformer encoder that returns the CLS (position 0) vector.
 
 Desk-scale by default (2 layers, 4 heads, hidden 64); the full-scale shape it
 mirrors is 12 layers, 12 heads, hidden 768. Learned position embeddings,
@@ -37,7 +37,7 @@ class EncoderConfig:
 
 
 class Encoder:
-    """Token+position embedding, L pre-norm attention/FFN blocks, CLS pooling."""
+    """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS vector out."""
 
     def __init__(self, config: EncoderConfig, vocab_size: int, rng: np.random.Generator):
         self.config = config
@@ -77,6 +77,7 @@ class Encoder:
         return T.dropout(h, self.config.dropout, rng, training)
 
     def encode(self, h0: T.Tensor, mask: np.ndarray, *, training: bool = False, rng=None) -> T.Tensor:
+        """The [B, d] CLS vector of the [B, n, d] embeddings ``h0``; ``mask`` is [B, n], 1 at real tokens."""
         cfg = self.config
         batch_size, n, _ = h0.shape
         if mask.shape != (batch_size, n):
@@ -87,7 +88,10 @@ class Encoder:
         p = self.params
         for i in range(cfg.layers):
             xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-            q, k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "qkv")
+            k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "kv")
+            if i == cfg.layers - 1:  # the heads read only the CLS row: the rest of the block computes just it
+                x, xn = T.gather(x, [0], axis=1), T.gather(xn, [0], axis=1)
+            q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
             ctx = T.attention(q, k, v, mask_add, cfg.heads)
             out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
             x = x + T.dropout(out, cfg.dropout, rng, training)
@@ -99,15 +103,8 @@ class Encoder:
 
             if not np.all(np.isfinite(x.data)):
                 raise NumericError(f"non-finite activations after encoder layer {i}")
-        return x
+        return T.gather(x, 0, axis=1)
 
     def forward(self, batch: Batch, *, training: bool = False, rng=None) -> T.Tensor:
         h0 = self.embed(batch, training=training, rng=rng)
         return self.encode(h0, batch.attention_mask, training=training, rng=rng)
-
-
-def cls_pool(hidden: T.Tensor) -> T.Tensor:
-    """Position-0 slice: the aggregate sequence representation."""
-    if hidden.data.ndim != 3 or hidden.shape[1] < 1:
-        raise ShapeError(f"expected [batch, seq, hidden], got {hidden.shape}")
-    return T.gather(hidden, 0, axis=1)

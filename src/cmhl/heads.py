@@ -1,6 +1,6 @@
 """Emotion-task heads and the composite objective.
 
-Three softmax heads share the pooled CLS vector. The objective is the
+Three softmax heads share the encoder's CLS vector. The objective is the
 label-balanced sum of their cross-entropies plus a hinge penalty whenever an
 opposing (positive, negative) emotion pair's probabilities sum past that
 pair's threshold.
@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .affect import AffectSchema, EmotionTaxonomy, LossWeights, ThresholdMatrix
 from .data import UNLABELED, Batch
-from .encoder import Encoder, cls_pool
+from .encoder import Encoder
 from .errors import DataError, ShapeError
 
 N_VALENCE = 3
@@ -121,8 +121,7 @@ class EmotionModel:
         return len(self.schema.taxonomy)
 
     def forward(self, batch: Batch, *, training: bool = False, rng=None) -> EmotionPrediction:
-        h_cls = cls_pool(self.encoder.forward(batch, training=training, rng=rng))
-        return emotion_heads_forward(h_cls, self.heads)
+        return emotion_heads_forward(self.encoder.forward(batch, training=training, rng=rng), self.heads)
 
     def loss(self, preds: EmotionPrediction, batch: Batch) -> T.Tensor:
         return total_loss(

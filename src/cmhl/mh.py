@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import UNLABELED, Batch, MHLabelSchema
-from .encoder import Encoder, cls_pool
+from .encoder import Encoder
 from .errors import DataError, ShapeError
 
 GATE_DIM = 128
@@ -153,7 +153,7 @@ class MHModel:
         return len(self.labels.categories)
 
     def forward(self, batch: Batch, *, training: bool = False, rng=None) -> MHPrediction:
-        return mh_predict(cls_pool(self.encoder.forward(batch, training=training, rng=rng)), self.heads)
+        return mh_predict(self.encoder.forward(batch, training=training, rng=rng), self.heads)
 
     def loss(self, preds: MHPrediction, batch: Batch) -> T.Tensor:
         return mh_loss(

@@ -285,23 +285,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [B, n, d] inputs, as one node.
+    """Multi-head scaled dot-product attention of [B, m, d] queries over [B, n, d] keys and values, as one node.
 
     ``mask_add`` is a constant [B, n] added to every score of each key (0 at
     real tokens, a large negative number at padding). Scores are scaled by
-    1/sqrt(d / heads); the backward keeps only the [B, heads, n, n] softmax.
+    1/sqrt(d / heads); the backward keeps only the [B, heads, m, n] softmax.
     """
-    batch, n, d = q.data.shape
-    if k.shape != q.shape or v.shape != q.shape or d % heads or np.shape(mask_add) != (batch, n):
-        raise ShapeError(f"attention needs equal [B, n, d] inputs, d divisible by {heads}, a [B, n] mask")
+    batch, _, d = q.data.shape
+    n = k.data.shape[1] if k.data.ndim == 3 else -1
+    if k.shape != (batch, n, d) or v.shape != k.shape or d % heads or np.shape(mask_add) != (batch, n):
+        raise ShapeError(f"attention needs [B, m, d] q, equal [B, n, d] k and v, d divisible by {heads}, a [B, n] mask")
     dk = d // heads
     scale = 1.0 / np.sqrt(dk)
 
     def split(a: np.ndarray) -> np.ndarray:
-        return a.reshape(batch, n, heads, dk).swapaxes(1, 2)
+        return a.reshape(batch, a.shape[1], heads, dk).swapaxes(1, 2)
 
     def merge(a: np.ndarray) -> np.ndarray:
-        return a.swapaxes(1, 2).reshape(batch, n, d)
+        return a.swapaxes(1, 2).reshape(batch, a.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))

@@ -33,7 +33,7 @@ from .data import (
     tokenize,
 )
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, NumericError, read_json_object
+from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
 from .heads import EmotionModel
 from .mh import MHModel
 
@@ -460,9 +460,9 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         lw = manifest.get("loss_weights")
         return Checkpoint(
             task=manifest["task"],
-            encoder_config=EncoderConfig(**manifest["encoder"]),
-            train_config=TrainConfig(**manifest["train"]),
-            loss_weights=None if lw is None else LossWeights(**lw),
+            encoder_config=EncoderConfig(**check_fields(EncoderConfig, manifest["encoder"], "encoder")),
+            train_config=TrainConfig(**check_fields(TrainConfig, manifest["train"], "train")),
+            loss_weights=None if lw is None else LossWeights(**check_fields(LossWeights, lw, "loss_weights")),
             vocab=Vocabulary.from_jsonable(manifest["vocab"]),
             schema_json=manifest["schema"],
             epoch=manifest["epoch"],
@@ -471,7 +471,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         )
     except KeyError as exc:
         raise DataError(f"{manifest_path}: missing key {exc}") from None
-    except TypeError as exc:  # a value of the wrong JSON type
+    except (TypeError, ConfigError) as exc:  # a value of the wrong JSON type, a config value of the wrong type or range
         raise DataError(f"{manifest_path}: malformed value: {exc}") from None
 
 

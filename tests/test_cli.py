@@ -386,7 +386,11 @@ class TestEval:
             assert row["predicted_label"] == names[pred[0]]
             assert float(row["confidence"]) == pytest.approx(conf[0], abs=1e-9)
 
-    @pytest.mark.parametrize("corruption", ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type"])
+    @pytest.mark.parametrize(
+        "corruption",
+        ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
+         "float_batch_size", "float_layers", "negative_layers"],
+    )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -405,10 +409,18 @@ class TestEval:
             manifest["format"] = 99
             manifest_path.write_text(json.dumps(manifest))
             offender = "format 99"
-        else:
+        elif corruption == "wrong_type":
             manifest["train"]["bogus"] = 1
             manifest_path.write_text(json.dumps(manifest))
             offender = "'bogus'"
+        else:  # a config field of the wrong type or range
+            section, key, value, offender = {
+                "float_batch_size": ("train", "batch_size", 2.5, "'train.batch_size'"),
+                "float_layers": ("encoder", "layers", 1.5, "'encoder.layers'"),
+                "negative_layers": ("encoder", "layers", -1, "encoder dimensions must be positive"),
+            }[corruption]
+            manifest[section][key] = value
+            manifest_path.write_text(json.dumps(manifest))
         assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and offender in err

@@ -5,7 +5,7 @@ import pytest
 
 from cmhl import tensor as T
 from cmhl.data import LabeledExample, build_vocab, encode_batch
-from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig, cls_pool
+from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig
 from cmhl.errors import ConfigError, ShapeError
 
 
@@ -22,6 +22,23 @@ def toy_encoder(vocab, layers=1, heads=2, hidden=8, ffn=16, seed=0, dropout=0.0)
         layers=layers, heads=heads, hidden=hidden, ffn_dim=ffn, max_positions=16, dropout=dropout
     )
     return Encoder(cfg, len(vocab), np.random.default_rng(seed))
+
+
+def full_sequence_cls(enc, batch):
+    """Every block over every position, then row 0: the CLS vector computed
+    without cutting the last block to position 0."""
+    p = enc.params
+    mask_add = (batch.attention_mask.astype(np.float64) - 1.0) * -MASK_NEG
+    x = enc.embed(batch)
+    for i in range(enc.config.layers):
+        xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
+        q, k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "qkv")
+        ctx = T.attention(q, k, v, mask_add, enc.config.heads)
+        x = x + T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+        yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
+        hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
+        x = x + T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+    return x.data[:, 0]
 
 
 class TestShapesAndDeterminism:
@@ -46,8 +63,9 @@ class TestShapesAndDeterminism:
         np.testing.assert_array_equal(a, b)
 
     def test_position_order_matters(self):
+        # the CLS vector sees the word order through attention over position embeddings
         batch, vocab = toy_batch(["cat dog", "dog cat"])
-        enc = toy_encoder(vocab, layers=0)
+        enc = toy_encoder(vocab, layers=1)
         out = enc.forward(batch).data
         assert not np.allclose(out[0], out[1])
 
@@ -95,20 +113,20 @@ class TestMaskingAndNorm:
         enc = toy_encoder(vocab, layers=0)
         h0 = enc.embed(batch)
         out = enc.encode(h0, batch.attention_mask)
-        np.testing.assert_array_equal(out.data, h0.data)
+        np.testing.assert_array_equal(out.data, h0.data[:, 0])
 
 
 class TestClsPool:
     def test_shape(self):
         batch, vocab = toy_batch(["p q", "r"])
         enc = toy_encoder(vocab)
-        pooled = cls_pool(enc.forward(batch))
+        pooled = enc.forward(batch)
         assert pooled.shape == (2, 8)
 
     def test_identity_encoder_returns_cls_embedding(self):
         batch, vocab = toy_batch(["p q r"])
         enc = toy_encoder(vocab, layers=0)
-        pooled = cls_pool(enc.forward(batch))
+        pooled = enc.forward(batch)
         expected = enc.params["tok_emb"].data[0] + enc.params["pos_emb"].data[0]
         np.testing.assert_allclose(pooled.data[0], expected, atol=1e-15)
 
@@ -116,11 +134,33 @@ class TestClsPool:
         # single-coordinate bump: a whole-row constant would vanish in layer norm
         batch, vocab = toy_batch(["m n o p"])
         enc = toy_encoder(vocab, layers=1)
-        base = cls_pool(enc.forward(batch)).data.copy()
+        base = enc.forward(batch).data.copy()
         word_id = batch.token_ids[0, 2]
         enc.params["tok_emb"].data[word_id, 0] += 0.5
-        bumped = cls_pool(enc.forward(batch)).data
+        bumped = enc.forward(batch).data
         assert np.abs(base - bumped).max() > 1e-6
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_matches_full_sequence_reference(self, layers):
+        # row 1 is padded from position 2; weights of std 0.5 make attention far from uniform
+        batch, vocab = toy_batch(["p q r s t", "u"])
+        enc = toy_encoder(vocab, layers=layers)
+        rng = np.random.default_rng(layers)
+        for tensor in enc.params.values():
+            tensor.data[...] = rng.normal(0.0, 0.5, tensor.shape)
+        np.testing.assert_allclose(enc.forward(batch).data, full_sequence_cls(enc, batch), rtol=0, atol=1e-12)
+
+    def test_last_block_feed_forward_sees_only_the_cls_row(self, monkeypatch):
+        shapes, gelu = [], T.gelu
+
+        def recording_gelu(x):
+            shapes.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(T, "gelu", recording_gelu)
+        batch, vocab = toy_batch(["p q r", "s"], max_len=5)
+        toy_encoder(vocab, layers=2).forward(batch)
+        assert shapes == [(2, 5, 16), (2, 1, 16)]
 
 
 class TestConfigValidation:
@@ -146,15 +186,13 @@ class TestNumericGuards:
 
 class TestEncoderGradients:
     def test_full_forward_finite_difference_every_parameter(self):
+        # with two layers, block 0 runs on every position and block 1 on the CLS row only
         batch, vocab = toy_batch(["u v w x", "y z"], max_len=5)
-        enc = toy_encoder(vocab, layers=1, heads=2, hidden=8, ffn=16)
         rng = np.random.default_rng(2)
         weights = T.tensor(rng.normal(size=(2, 8)))
 
-        for name, tensor in enc.params.items():
-
-            def fn(point, _name=name):
-                return (cls_pool(enc.forward(batch)) * weights).sum()
-
-            err = T.finite_diff_check(fn, tensor, eps=1e-5)
-            assert err < 1e-4, f"{name}: finite-difference error {err:.3e}"
+        for layers in (1, 2):
+            enc = toy_encoder(vocab, layers=layers, heads=2, hidden=8, ffn=16)
+            for name, tensor in enc.params.items():
+                err = T.finite_diff_check(lambda _t: (enc.forward(batch) * weights).sum(), tensor, eps=1e-5)
+                assert err < 1e-4, f"layers={layers} {name}: finite-difference error {err:.3e}"

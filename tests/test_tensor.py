@@ -320,6 +320,22 @@ class TestAttention:
         _check(lambda t: (T.attention(q, t, v, self.mask_add, 3) * up).sum(), k)
         _check(lambda t: (T.attention(q, k, t, self.mask_add, 3) * up).sum(), v)
 
+    def test_one_query_equals_row_zero_of_all_queries(self):
+        q, k, v = self._qkv()
+        full = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 2).data
+        first = T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v), self.mask_add, 2)
+        assert first.shape == (3, 1, 6)
+        np.testing.assert_allclose(first.data, full[:, :1], rtol=0, atol=1e-15)
+
+    def test_finite_differences_one_query_over_four_keys(self):
+        # m = 1, n = 4; rows 1 and 2 of the batch pad some keys
+        q, k, v = _fresh([self.rng.normal(size=(3, m, 6)) for m in (1, 4, 4)], [True] * 3)
+        up = T.tensor(self.rng.normal(size=(3, 1, 6)))
+        _check(lambda t: (T.attention(t, k, v, self.mask_add, 3) * up).sum(), q)
+        _check(lambda t: (T.attention(q, t, v, self.mask_add, 3) * up).sum(), k)
+        _check(lambda t: (T.attention(q, k, t, self.mask_add, 3) * up).sum(), v)
+        assert q.grad.shape == (3, 1, 6) and k.grad.shape == v.grad.shape == (3, 4, 6)
+
     def test_nonfinite_scores_rejected(self):
         q, k, v = self._qkv()
         q[0, 1, 2] = np.inf
@@ -332,6 +348,12 @@ class TestAttention:
             T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 4)
         with pytest.raises(ShapeError):
             T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add[:2], 2)
+        with pytest.raises(ShapeError):  # keys and values of different lengths
+            T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v[:, :3]), self.mask_add, 2)
+        with pytest.raises(ShapeError):  # a mask over the 1 query, not the 4 keys
+            T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v), self.mask_add[:, :1], 2)
+        with pytest.raises(ShapeError):  # queries of another width than the keys
+            T.attention(T.tensor(q[..., :4]), T.tensor(k), T.tensor(v), self.mask_add, 2)
 
 
 class TestGradientOwnership:
