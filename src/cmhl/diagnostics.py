@@ -93,7 +93,7 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
 
     def mh_objective(h):
         pred = mh_predict(h, mh)
-        return mh_loss(pred.p_final, pred.p_s, labels_m, labels_s, mh)
+        return mh_loss(pred.z_final, pred.z_s, labels_m, labels_s, mh)
 
     h_mh = T.tensor(rng.normal(size=(2, d)))
     row("mh_loss", "h_cls", mh_objective, h_mh)

@@ -1,9 +1,9 @@
 """Emotion-task heads and the composite objective.
 
-Three softmax heads share the encoder's CLS vector. The objective is the
-label-balanced sum of their cross-entropies plus a hinge penalty whenever an
-opposing (positive, negative) emotion pair's probabilities sum past that
-pair's threshold.
+Three heads share the encoder's CLS vector and return logits. The objective
+is the label-balanced sum of their softmax cross-entropies plus a hinge
+penalty whenever an opposing (positive, negative) emotion pair's primary-head
+probabilities sum past that pair's threshold.
 """
 
 from __future__ import annotations
@@ -36,20 +36,18 @@ def emotion_head_params(num_emotions: int, hidden: int, rng: np.random.Generator
 
 @dataclass
 class EmotionPrediction:
-    p_e: T.Tensor  # [batch, num_emotions]
-    p_v: T.Tensor  # [batch, 3]
-    p_i: T.Tensor  # [batch, 2]
+    z_e: T.Tensor  # [batch, num_emotions] logits
+    z_v: T.Tensor  # [batch, 3] logits
+    z_i: T.Tensor  # [batch, 2] logits
+    p_e: T.Tensor  # softmax(z_e)
 
 
 def emotion_heads_forward(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> EmotionPrediction:
     hidden = params["head.w_e"].shape[0]
     if h_cls.data.ndim != 2 or h_cls.shape[1] != hidden:
         raise ShapeError(f"h_cls {h_cls.shape} does not match head input {hidden}")
-    return EmotionPrediction(
-        p_e=T.softmax(T.linear(h_cls, params["head.w_e"], params["head.b_e"])),
-        p_v=T.softmax(T.linear(h_cls, params["head.w_v"], params["head.b_v"])),
-        p_i=T.softmax(T.linear(h_cls, params["head.w_i"], params["head.b_i"])),
-    )
+    z_e, z_v, z_i = (T.linear(h_cls, params[f"head.w_{h}"], params[f"head.b_{h}"]) for h in "evi")
+    return EmotionPrediction(z_e=z_e, z_v=z_v, z_i=z_i, p_e=T.softmax(z_e))
 
 
 def task_loss(preds: EmotionPrediction, labels: dict[str, np.ndarray], weights: LossWeights) -> T.Tensor:
@@ -58,9 +56,9 @@ def task_loss(preds: EmotionPrediction, labels: dict[str, np.ndarray], weights: 
         if np.any(labels[key] == UNLABELED):
             raise DataError(f"emotion task requires derived {key} labels on every example")
     return (
-        T.cross_entropy(preds.p_e, labels["primary"])
-        + weights.alpha1 * T.cross_entropy(preds.p_v, labels["valence"])
-        + weights.alpha2 * T.cross_entropy(preds.p_i, labels["intensity"])
+        T.cross_entropy(preds.z_e, labels["primary"])
+        + weights.alpha1 * T.cross_entropy(preds.z_v, labels["valence"])
+        + weights.alpha2 * T.cross_entropy(preds.z_i, labels["intensity"])
     )
 
 

@@ -3,8 +3,9 @@ gated fusion, final prediction, and the adaptive-weight loss.
 
 Both heads read the shared CLS vector. A small bottleneck network turns their
 concatenated probabilities into two gate weights that rescale the diagnosis
-and severity blocks before the fused final head. The severity term's loss
-weight is a learnable scalar kept positive through softplus.
+and severity blocks before the fused head. The severity and fused heads
+return logits; the severity term's loss weight is a learnable scalar kept
+positive through softplus.
 """
 
 from __future__ import annotations
@@ -55,19 +56,18 @@ def mh_head_params(
 
 @dataclass
 class MHPrediction:
-    p_m: T.Tensor  # [batch, M] diagnosis head
-    p_s: T.Tensor  # [batch, 3] severity head
-    gate: T.Tensor  # [batch, 2]
-    p_final: T.Tensor  # [batch, M] fused prediction
+    z_s: T.Tensor  # [batch, 3] severity logits
+    z_final: T.Tensor  # [batch, M] fused logits
 
 
 def mh_heads_forward(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> tuple[T.Tensor, T.Tensor]:
+    """Diagnosis probabilities ``p_m`` and severity logits ``z_s``."""
     hidden = params["mh.w_m"].shape[0]
     if h_cls.data.ndim != 2 or h_cls.shape[1] != hidden:
         raise ShapeError(f"h_cls {h_cls.shape} does not match head input {hidden}")
     p_m = T.softmax(T.linear(h_cls, params["mh.w_m"], params["mh.b_m"]))
-    p_s = T.softmax(T.linear(h_cls, params["mh.w_s"], params["mh.b_s"]))
-    return p_m, p_s
+    z_s = T.linear(h_cls, params["mh.w_s"], params["mh.b_s"])
+    return p_m, z_s
 
 
 def gate_weights(features: T.Tensor, params: dict[str, T.Tensor]) -> T.Tensor:
@@ -86,16 +86,16 @@ def final_prediction(fused: T.Tensor, params: dict[str, T.Tensor]) -> T.Tensor:
     width = params["mh.fuse.w"].shape[0]
     if fused.shape[-1] != width:
         raise ShapeError(f"fused features {fused.shape} do not match {width}")
-    return T.softmax(T.linear(fused, params["mh.fuse.w"], params["mh.fuse.b"]))
+    return T.linear(fused, params["mh.fuse.w"], params["mh.fuse.b"])
 
 
 def mh_predict(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:
     """Both heads, the gate, the gated fusion and the final head on the CLS vector."""
-    p_m, p_s = mh_heads_forward(h_cls, params)
-    features = T.concat([p_m, p_s])
+    p_m, z_s = mh_heads_forward(h_cls, params)
+    features = T.concat([p_m, T.softmax(z_s)])
     gate = gate_weights(features, params)
-    fused = gated_fusion_product(features, gate, (p_m.shape[1], p_s.shape[1]))
-    return MHPrediction(p_m=p_m, p_s=p_s, gate=gate, p_final=final_prediction(fused, params))
+    fused = gated_fusion_product(features, gate, (p_m.shape[1], z_s.shape[1]))
+    return MHPrediction(z_s=z_s, z_final=final_prediction(fused, params))
 
 
 def effective_beta(params: dict[str, T.Tensor]) -> T.Tensor:
@@ -103,13 +103,13 @@ def effective_beta(params: dict[str, T.Tensor]) -> T.Tensor:
 
 
 def mh_loss(
-    p_final: T.Tensor,
-    p_s: T.Tensor,
+    z_final: T.Tensor,
+    z_s: T.Tensor,
     labels_m: np.ndarray,
     labels_s: np.ndarray,
     params: dict[str, T.Tensor],
 ) -> T.Tensor:
-    """Diagnosis cross-entropy plus the softplus-weighted severity term.
+    """Fused-logit cross-entropy plus the softplus-weighted severity-logit cross-entropy.
 
     Severity labels of -1 mark intensity-unlabeled examples; those rows are
     dropped from the second term. With no labeled rows the term is absent.
@@ -117,10 +117,10 @@ def mh_loss(
     labels_m = np.asarray(labels_m)
     if labels_m.size == 0:
         raise DataError("mh_loss requires at least one labeled example")
-    loss = T.cross_entropy(p_final, labels_m)
+    loss = T.cross_entropy(z_final, labels_m)
     labeled = np.flatnonzero(np.asarray(labels_s) != UNLABELED)
     if labeled.size:
-        severity_ce = T.cross_entropy(T.gather(p_s, labeled, axis=0), np.asarray(labels_s)[labeled])
+        severity_ce = T.cross_entropy(T.gather(z_s, labeled, axis=0), np.asarray(labels_s)[labeled])
         loss = loss + effective_beta(params) * severity_ce
     return loss
 
@@ -157,8 +157,8 @@ class MHModel:
 
     def loss(self, preds: MHPrediction, batch: Batch) -> T.Tensor:
         return mh_loss(
-            preds.p_final, preds.p_s, batch.labels["primary"], batch.labels["intensity"], self.heads
+            preds.z_final, preds.z_s, batch.labels["primary"], batch.labels["intensity"], self.heads
         )
 
     def primary_probs(self, preds: MHPrediction) -> T.Tensor:
-        return preds.p_final
+        return T.softmax(preds.z_final)

@@ -4,7 +4,7 @@ The primitive set is exactly what the model needs: matmul, the fused affine
 map ``linear`` (``x @ w + b``), fused multi-head ``attention``, add,
 elementwise product, reductions, reshaping, ``gather`` (the one read by
 integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
-layer norm, dropout, concatenation, and cross-entropy. Every primitive
+layer norm, dropout, concatenation, and cross-entropy of logits. Every primitive
 carries its own backward closure; gradients accumulate into leaves' ``.grad``
 so micro-batch accumulation works without extra bookkeeping. ``backward``
 consumes the graph it walks, freeing each interior node as soon as it has
@@ -53,7 +53,6 @@ __all__ = [
     "finite_diff_check",
 ]
 
-LOG_EPS = 1e-12
 LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -476,28 +475,28 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return gather(weight, ids, axis=0)
 
 
-def cross_entropy(probs: Tensor, labels) -> Tensor:
-    """Mean over rows of -ln(probs[row, label]), with log arguments clamped at 1e-12."""
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over rows of logsumexp(z) - z[label] for [rows, k] ``logits`` z; no probability is clamped."""
     labels = np.asarray(labels, dtype=np.intp)
-    if probs.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [rows, classes], got {probs.shape}")
-    rows, k = probs.data.shape
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy expects [rows, classes], got {logits.shape}")
+    rows, k = logits.data.shape
     if labels.shape != (rows,):
         raise ShapeError(f"expected {rows} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise DataError(f"label {bad} out of range for {k} classes")
-    picked = probs.data[np.arange(rows), labels]
-    out = _node(np.mean(-np.log(np.maximum(picked, LOG_EPS))), (probs,), "cross_entropy")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    out = _node(np.mean(np.log(total) - shifted[np.arange(rows), labels]), (logits,), "cross_entropy")
     if out.requires_grad:
 
         def back() -> None:
-            # one entry per row, so assigning equals adding into zeros
-            grad = np.zeros_like(probs.data)
-            live = picked > LOG_EPS
-            contrib = np.where(live, -1.0 / (np.maximum(picked, LOG_EPS) * rows), 0.0)
-            grad[np.arange(rows), labels] = float(out.grad) * contrib
-            probs._accumulate(grad, True)
+            grad = exp / total[:, None]
+            grad[np.arange(rows), labels] -= 1.0
+            grad *= float(out.grad) / rows
+            logits._accumulate(grad, True)
 
         out._backward = back
     return out

@@ -55,7 +55,6 @@ class TrainConfig:
     grad_accumulation_steps: int = 2
     epochs: int = 5
     max_seq_len: int = 256
-    dropout: float = 0.1
     early_stop_patience: int | None = None
     seed: int = 0
     validation_fraction: float = 0.1
@@ -72,6 +71,10 @@ class TrainConfig:
             raise ConfigError("warmup must be >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1 when set")
+        if self.max_seq_len < 2:
+            raise ConfigError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
 
     @classmethod
     def mental_health_preset(cls) -> "TrainConfig":
@@ -81,7 +84,6 @@ class TrainConfig:
             batch_size=12,
             grad_accumulation_steps=1,
             epochs=10,
-            dropout=0.15,
             early_stop_patience=3,
             augment=True,
         )

@@ -140,7 +140,7 @@ def test_c5_checkpoint_selection_and_early_stop(default_schema, monkeypatch):
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16, dropout=0.0)
     model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=0)
     config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=10, warmup=0,
-                         early_stop_patience=3, seed=0, dropout=0.0, max_seq_len=16)
+                         early_stop_patience=3, seed=0, max_seq_len=16)
     result = train(model, vocab, examples, config)
     assert len(result.history) == 5, "stops after the fifth epoch"
     assert result.best_index == 1, "best checkpoint is epoch 2"
@@ -156,7 +156,7 @@ def test_c6_grad_accumulation_equivalence(default_schema):
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16, dropout=0.0)
         model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=6)
         config = TrainConfig(batch_size=batch_size, grad_accumulation_steps=accum, epochs=1,
-                             warmup=0, seed=6, dropout=0.0, max_seq_len=16)
+                             warmup=0, seed=6, max_seq_len=16)
         snaps = []
         train(model, vocab, examples, config, validation=examples[:8],
               step_callback=lambda s, p: snaps.append({k: v.data.copy() for k, v in p.items()}))
@@ -269,7 +269,7 @@ def test_c9_persistence(default_schema, tmp_path):
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16, dropout=0.0)
     model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=9)
     config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=2, warmup=0,
-                         seed=9, dropout=0.0, max_seq_len=16)
+                         seed=9, max_seq_len=16)
     train(model, vocab, examples, config, validation=examples[:16])
     before = evaluate(model, examples[:16], vocab, config)
 

@@ -168,11 +168,32 @@ class TestTrain:
             ({"loss_weights": {"alpha1": "0.3"}}, "'loss_weights.alpha1'"),
             ({"train": {"augment": "yes"}}, "'train.augment'"),
             ({"train": {"early_stop_patience": 1.5}}, "'train.early_stop_patience'"),
+            ({"train": {"max_seq_len": 0}}, "max_seq_len"),
+            ({"train": {"max_seq_len": 1}}, "max_seq_len"),
+            ({"train": {"validation_fraction": 0}}, "validation_fraction"),
+            ({"train": {"validation_fraction": -0.5}}, "validation_fraction"),
+            ({"train": {"validation_fraction": 1.0}}, "validation_fraction"),
+            ({"train": {"validation_fraction": 1.5}}, "validation_fraction"),
+            ({"train": {"dropout": 0.3}}, "'dropout'"),  # dropout is set in the encoder section
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
         assert main(["train", "--config", str(toy_config(tmp_path, **overrides))]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    def test_nonfinite_mid_run_exits_numeric(self, tmp_path, corpus, capsys, monkeypatch):
+        """A value that turns non-finite in epoch 2 ends in exit 4, not a traceback, and leaves no checkpoint."""
+        lr_at = cmhl.training.lr_at
+
+        def nan_from_epoch_two(step, total_steps, warmup_steps, lr):
+            # the run has two epochs of total_steps // 2 optimizer steps
+            return float("nan") if step >= total_steps // 2 else lr_at(step, total_steps, warmup_steps, lr)
+
+        monkeypatch.setattr(cmhl.training, "lr_at", nan_from_epoch_two)
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint" / "manifest.json").exists()
 
     def test_config_not_an_object(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text("[1, 2]")
@@ -389,7 +410,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "corruption",
         ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
-         "float_batch_size", "float_layers", "negative_layers"],
+         "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -413,11 +434,16 @@ class TestEval:
             manifest["train"]["bogus"] = 1
             manifest_path.write_text(json.dumps(manifest))
             offender = "'bogus'"
+        elif corruption == "train_dropout":  # as written before dropout became the encoder's alone
+            manifest["train"]["dropout"] = 0.1
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "'dropout'"
         else:  # a config field of the wrong type or range
             section, key, value, offender = {
                 "float_batch_size": ("train", "batch_size", 2.5, "'train.batch_size'"),
                 "float_layers": ("encoder", "layers", 1.5, "'encoder.layers'"),
                 "negative_layers": ("encoder", "layers", -1, "encoder dimensions must be positive"),
+                "validation_fraction_one": ("train", "validation_fraction", 1.0, "validation_fraction"),
             }[corruption]
             manifest[section][key] = value
             manifest_path.write_text(json.dumps(manifest))

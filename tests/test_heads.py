@@ -12,6 +12,7 @@ from cmhl.encoder import EncoderConfig
 from cmhl.errors import DataError
 from cmhl.heads import (
     EmotionModel,
+    EmotionPrediction,
     emotion_head_params,
     emotion_heads_forward,
     exclusivity_loss,
@@ -55,15 +56,15 @@ class TestHeadsForward:
         heads = zero_heads()
         preds = emotion_heads_forward(T.tensor(np.random.default_rng(1).normal(size=(3, 4))), heads)
         np.testing.assert_allclose(preds.p_e.data, 1 / 6, atol=1e-15)
-        np.testing.assert_allclose(preds.p_v.data, 1 / 3, atol=1e-15)
-        np.testing.assert_allclose(preds.p_i.data, 1 / 2, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(preds.z_v).data, 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(preds.z_i).data, 1 / 2, atol=1e-15)
 
     def test_output_shapes(self):
         heads = emotion_head_params(6, 8, np.random.default_rng(2))
         preds = emotion_heads_forward(T.tensor(np.zeros((5, 8))), heads)
-        assert preds.p_e.shape == (5, 6)
-        assert preds.p_v.shape == (5, 3)
-        assert preds.p_i.shape == (5, 2)
+        assert preds.z_e.shape == preds.p_e.shape == (5, 6)
+        assert preds.z_v.shape == (5, 3)
+        assert preds.z_i.shape == (5, 2)
 
     def test_hand_computed_two_dim(self):
         heads = zero_heads(num_emotions=2, hidden=2)
@@ -81,21 +82,20 @@ class TestHeadsForward:
             emotion_heads_forward(T.tensor(np.zeros((2, 5))), heads)
 
 
+def logits_with_loss(target_ce, k):
+    """One row of logits whose cross-entropy against class 0 is ``target_ce``:
+    the logs of probabilities exp(-target_ce) and an even split of the rest."""
+    rest = (1.0 - math.exp(-target_ce)) / (k - 1)
+    return T.tensor([[-target_ce] + [math.log(rest)] * (k - 1)])
+
+
+def prediction(z_e, z_v, z_i):
+    return EmotionPrediction(z_e=z_e, z_v=z_v, z_i=z_i, p_e=T.softmax(z_e))
+
+
 def preds_with_losses(ce_e, ce_v, ce_i):
     """Single-row predictions whose cross-entropies equal the given values."""
-
-    def row(target_ce, k):
-        p_true = math.exp(-target_ce)
-        rest = (1.0 - p_true) / (k - 1)
-        return [p_true] + [rest] * (k - 1)
-
-    from cmhl.heads import EmotionPrediction
-
-    return EmotionPrediction(
-        p_e=T.tensor([row(ce_e, 6)]),
-        p_v=T.tensor([row(ce_v, 3)]),
-        p_i=T.tensor([row(ce_i, 2)]),
-    )
+    return prediction(logits_with_loss(ce_e, 6), logits_with_loss(ce_v, 3), logits_with_loss(ce_i, 2))
 
 
 LABELS_ROW = {
@@ -208,12 +208,11 @@ class TestTotalLoss:
 
     def test_arithmetic(self, schema):
         # task 1.19 plus 0.4 * 0.6 exclusivity = 1.43
-        p_e = np.zeros(6)
-        p_e[schema.names.index("joy")] = 1.0
-        from cmhl.heads import EmotionPrediction
-
+        # joy's logit 1000 above the rest: p_e is one-hot joy in float64
+        z_e = np.zeros(6)
+        z_e[schema.names.index("joy")] = 1000.0
         base = preds_with_losses(1.0, 0.5, 0.2)
-        preds = EmotionPrediction(p_e=T.tensor([p_e]), p_v=base.p_v, p_i=base.p_i)
+        preds = prediction(T.tensor([z_e]), base.z_v, base.z_i)
         labels = {
             "primary": np.array([schema.names.index("joy")]),
             "valence": np.array([0]),

@@ -36,22 +36,22 @@ def zeroed(heads):
 class TestMhHeads:
     def test_zero_params_uniform(self):
         heads = zeroed(make_heads())
-        p_m, p_s = mh_heads_forward(T.tensor(np.ones((2, 8))), heads)
+        p_m, z_s = mh_heads_forward(T.tensor(np.ones((2, 8))), heads)
         np.testing.assert_allclose(p_m.data, 1 / 5, atol=1e-15)
-        np.testing.assert_allclose(p_s.data, 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(z_s).data, 1 / 3, atol=1e-15)
 
     def test_default_shapes(self):
         heads = make_heads()
-        p_m, p_s = mh_heads_forward(T.tensor(np.zeros((4, 8))), heads)
+        p_m, z_s = mh_heads_forward(T.tensor(np.zeros((4, 8))), heads)
         assert p_m.shape == (4, 5)
-        assert p_s.shape == (4, 3)
+        assert z_s.shape == (4, 3)
 
     def test_rows_sum_to_one(self):
         heads = make_heads(seed=3)
         h = T.tensor(np.random.default_rng(1).normal(size=(10, 8)))
-        p_m, p_s = mh_heads_forward(h, heads)
+        p_m, z_s = mh_heads_forward(h, heads)
         np.testing.assert_allclose(p_m.data.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(p_s.data.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(T.softmax(z_s).data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestGate:
@@ -122,21 +122,21 @@ class TestFinalPrediction:
     def test_zero_fuse_gives_uniform(self):
         heads = zeroed(make_heads())
         out = final_prediction(T.tensor(np.random.default_rng(0).normal(size=(3, 8))), heads)
-        np.testing.assert_allclose(out.data, 1 / 5, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(out).data, 1 / 5, atol=1e-15)
 
     def test_simplex_randomized(self):
         heads = make_heads(seed=8)
         rng = np.random.default_rng(9)
         out = final_prediction(T.tensor(rng.normal(size=(1000, 8))), heads)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(T.softmax(out).data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_gradient_reaches_gate_parameters(self):
         heads = make_heads(seed=10)
         h = T.tensor(np.random.default_rng(11).normal(size=(2, 8)), requires_grad=True)
-        p_m, p_s = mh_heads_forward(h, heads)
-        feats = T.concat([p_m, p_s])
+        p_m, z_s = mh_heads_forward(h, heads)
+        feats = T.concat([p_m, T.softmax(z_s)])
         gate = gate_weights(feats, heads)
-        fused = gated_fusion_product(feats, gate, (p_m.shape[1], p_s.shape[1]))
+        fused = gated_fusion_product(feats, gate, (p_m.shape[1], z_s.shape[1]))
         out = final_prediction(fused, heads)
         T.backward(T.cross_entropy(out, [0, 1]))
         assert heads["mh.gate.w_in"].grad is not None
@@ -145,29 +145,29 @@ class TestFinalPrediction:
         assert np.abs(heads["mh.w_s"].grad).max() > 0.0
 
 
-def ce_probs(target_ce, k, rows=1):
-    p_true = math.exp(-target_ce)
-    rest = (1.0 - p_true) / (k - 1)
-    return T.tensor(np.tile([p_true] + [rest] * (k - 1), (rows, 1)))
+def ce_logits(target_ce, k, rows=1):
+    """Rows of logits whose cross-entropy against class 0 is ``target_ce``."""
+    rest = (1.0 - math.exp(-target_ce)) / (k - 1)
+    return T.tensor(np.tile([-target_ce] + [math.log(rest)] * (k - 1), (rows, 1)))
 
 
 class TestMhLoss:
     def test_arithmetic_with_default_beta(self):
         heads = make_heads()
-        loss = mh_loss(ce_probs(1.0, 5), ce_probs(0.5, 3), np.array([0]), np.array([0]), heads)
+        loss = mh_loss(ce_logits(1.0, 5), ce_logits(0.5, 3), np.array([0]), np.array([0]), heads)
         assert loss.item() == pytest.approx(1.0 + 0.4 * 0.5, abs=1e-9)
 
     def test_all_unlabeled_drops_severity_term(self):
         heads = make_heads()
         heads["mh.beta_raw"].data[...] = 50.0  # absurd beta must not matter
-        loss = mh_loss(ce_probs(0.9, 5), ce_probs(0.5, 3), np.array([0]), np.array([-1]), heads)
+        loss = mh_loss(ce_logits(0.9, 5), ce_logits(0.5, 3), np.array([0]), np.array([-1]), heads)
         assert loss.item() == pytest.approx(0.9, abs=1e-12)
 
     def test_partial_labels_masked_mean(self):
         heads = make_heads()
-        p_s = T.tensor(np.array([[math.exp(-0.5), 0.3, 0.7 - math.exp(-0.5)],
-                                 [0.2, 0.5, 0.3]]))
-        loss = mh_loss(ce_probs(1.0, 5, rows=2), p_s, np.array([0, 0]), np.array([0, -1]), heads)
+        z_s = T.tensor(np.log([[math.exp(-0.5), 0.3, 0.7 - math.exp(-0.5)],
+                               [0.2, 0.5, 0.3]]))
+        loss = mh_loss(ce_logits(1.0, 5, rows=2), z_s, np.array([0, 0]), np.array([0, -1]), heads)
         assert loss.item() == pytest.approx(1.0 + 0.4 * 0.5, abs=1e-9)
 
     def test_empty_batch_rejected(self):
@@ -188,11 +188,11 @@ class TestMhLoss:
 
     def test_beta_gradient_finite_difference(self):
         heads = make_heads()
-        p_final = ce_probs(1.0, 5)
-        p_s = ce_probs(0.5, 3)
+        z_final = ce_logits(1.0, 5)
+        z_s = ce_logits(0.5, 3)
 
         def fn(beta_raw):
-            return mh_loss(p_final, p_s, np.array([0]), np.array([0]), heads)
+            return mh_loss(z_final, z_s, np.array([0]), np.array([0]), heads)
 
         err = T.finite_diff_check(fn, heads["mh.beta_raw"], eps=1e-5)
         assert err < 1e-4
@@ -213,7 +213,8 @@ class TestMHModel:
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
         model = MHModel.build(cfg, len(vocab), MHLabelSchema(), seed=1)
         preds = model.forward(batch)
-        assert preds.p_final.shape == (2, 5)
+        assert preds.z_final.shape == (2, 5)
+        assert model.primary_probs(preds).shape == (2, 5)
         assert model.loss(preds, batch).item() > 0.0
 
     def test_both_terms_reach_encoder(self):
@@ -234,10 +235,10 @@ class TestMHModel:
             )
 
         diag_only = encoder_grad_norm(
-            lambda p: T.cross_entropy(p.p_final, batch.labels["primary"])
+            lambda p: T.cross_entropy(p.z_final, batch.labels["primary"])
         )
         sev_only = encoder_grad_norm(
-            lambda p: T.cross_entropy(T.gather(p.p_s, [0], axis=0), batch.labels["intensity"][:1])
+            lambda p: T.cross_entropy(T.gather(p.z_s, [0], axis=0), batch.labels["intensity"][:1])
         )
         assert diag_only > 0.0
         assert sev_only > 0.0

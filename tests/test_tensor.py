@@ -46,38 +46,66 @@ class TestSoftmax:
             T.softmax(T.tensor([[np.nan, 0.0]]))
 
 
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
-        probs = T.tensor([[1.0 - 2e-12, 1e-12, 1e-12]])
-        assert T.cross_entropy(probs, [0]).item() == pytest.approx(0.0, abs=1e-11)
+        logits = T.tensor([[30.0, 0.0, 0.0]])
+        assert T.cross_entropy(logits, [0]).item() == pytest.approx(0.0, abs=1e-11)
 
     def test_uniform_six_classes(self):
-        probs = T.tensor([[1 / 6] * 6])
-        assert T.cross_entropy(probs, [3]).item() == pytest.approx(math.log(6.0), abs=1e-12)
+        logits = T.tensor([[0.7] * 6])
+        assert T.cross_entropy(logits, [3]).item() == pytest.approx(math.log(6.0), abs=1e-12)
 
     def test_mean_of_two_rows(self):
-        probs = T.tensor([[1.0, 0.0], [0.5, 0.5]])
+        logits = T.tensor([[1000.0, 0.0], [2.5, 2.5]])
         # losses 0 and ln 2, mean = 0.34657...
-        assert T.cross_entropy(probs, [0, 0]).item() == pytest.approx(
+        assert T.cross_entropy(logits, [0, 0]).item() == pytest.approx(
             0.5 * math.log(2.0), abs=1e-12
         )
 
     def test_nonnegative_and_exact_single_row(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = rng.dirichlet(np.ones(4))
+            z = rng.normal(scale=3.0, size=(1, 4))
             label = int(rng.integers(0, 4))
-            loss = T.cross_entropy(T.tensor(p[None, :]), [label]).item()
+            loss = T.cross_entropy(T.tensor(z), [label]).item()
             assert loss >= 0.0
-            assert loss == pytest.approx(-math.log(max(p[label], 1e-12)), rel=1e-12)
+            assert loss == pytest.approx(-math.log(softmax_rows(z)[0, label]), rel=1e-12)
+
+    def test_matches_log_softmax_up_to_large_gaps(self):
+        """Each row gives -ln softmax(z)[label] wherever that probability is a
+        normal float, and a finite loss between the gap and the gap + ln k
+        where it underflows (logit gaps up to 2e3)."""
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            z = rng.uniform(-1.0, 1.0, size=(1, 5)) * rng.choice([1.0, 30.0, 1e3])
+            label = int(rng.integers(0, 5))
+            loss = T.cross_entropy(T.tensor(z), [label]).item()
+            assert math.isfinite(loss)
+            p = softmax_rows(z)[0, label]
+            if p > 1e-300:
+                assert loss == pytest.approx(-math.log(p), rel=1e-12, abs=1e-12)
+            else:
+                gap = z.max() - z[0, label]
+                assert gap <= loss <= gap + math.log(5)
+
+    def test_confidently_wrong_row_keeps_its_gradient(self):
+        """At a logit gap of 30 against the label the loss is the gap and the
+        label logit's gradient is -1: no clamp cuts it to 0."""
+        logits = T.tensor([[0.0, 30.0]], requires_grad=True)
+        loss = T.cross_entropy(logits, [0])
+        assert loss.item() == pytest.approx(30.0, rel=1e-12)
+        T.backward(loss)
+        assert logits.grad[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert logits.grad[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             T.cross_entropy(T.tensor([[0.5, 0.5]]), [2])
-
-    def test_zero_probability_clamped(self):
-        loss = T.cross_entropy(T.tensor([[0.0, 1.0]]), [0])
-        assert loss.item() == pytest.approx(-math.log(1e-12))
 
 
 class TestBackward:
@@ -108,7 +136,7 @@ class TestBackward:
 
     def test_softmax_ce_gradient_closed_form(self):
         logits = T.tensor([[1.0, 0.0]], requires_grad=True)
-        T.backward(T.cross_entropy(T.softmax(logits), [0]))
+        T.backward(T.cross_entropy(logits, [0]))
         np.testing.assert_allclose(
             logits.grad, [[-0.2689414213699951, 0.2689414213699951]], atol=1e-12
         )
@@ -547,10 +575,9 @@ class TestPrimitiveGradients:
         x = T.tensor(self.rng.normal(size=(3, 6)), requires_grad=True)
         _check(lambda t: T.gather(t, [1, 4, 4], axis=-1).sum(), x)
 
-    def test_cross_entropy_probs(self):
-        p = self.rng.dirichlet(np.ones(4), size=3)
-        probs = T.tensor(p, requires_grad=True)
-        _check(lambda t: T.cross_entropy(t, [0, 2, 1]), probs)
+    def test_cross_entropy_logits(self):
+        logits = T.tensor(self.rng.normal(scale=3.0, size=(3, 4)), requires_grad=True)
+        _check(lambda t: T.cross_entropy(t, [0, 2, 1]), logits)
 
     def test_mean_and_sum_axes(self):
         x = T.tensor(self.rng.normal(size=(3, 4)), requires_grad=True)

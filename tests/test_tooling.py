@@ -5,6 +5,7 @@ import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,16 +22,20 @@ def test_perfbench_selftest_passes():
 
 
 def test_no_uncalled_definitions():
-    """Every function, method and class in ``src/cmhl`` (dunders aside) is
-    named, as a whole word, somewhere in ``src/`` or ``perfbench/`` besides
-    its own definition; code only tests use does not count."""
+    """Every function, method and class in ``src/cmhl``, and every name a
+    module assigns at its top level (dunders aside), is named, as a whole
+    word, somewhere in ``src/`` or ``perfbench/`` besides its own
+    definition; code only tests use does not count."""
     sources = [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    definitions = {}
+    names = []
     for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    definitions[node.name] = definitions.get(node.name, 0) + 1
+        tree = ast.parse(path.read_text())
+        names += [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    definitions = Counter(n for n in names if not (n.startswith("__") and n.endswith("__")))
     unused = sorted(
         name for name, count in definitions.items()
         if sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in sources) <= count

@@ -250,7 +250,7 @@ class TestTrainLoop:
         for _ in range(2):
             model, vocab, examples = tiny_model_and_corpus(default_schema)
             config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=2,
-                                 warmup=0.1, seed=3, dropout=0.0, max_seq_len=16)
+                                 warmup=0.1, seed=3, max_seq_len=16)
             result = train(model, vocab, examples, config)
             losses.append(result.epoch_losses)
         assert losses[0] == losses[1]
@@ -262,8 +262,7 @@ class TestTrainLoop:
         )
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=16)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=10,
-                             warmup=0, early_stop_patience=3, seed=0, dropout=0.0,
-                             max_seq_len=16)
+                             warmup=0, early_stop_patience=3, seed=0, max_seq_len=16)
         result = train(model, vocab, examples, config)
         assert len(result.history) == 5
         assert result.best_index == 1
@@ -277,8 +276,7 @@ class TestTrainLoop:
         )
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=16)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=6,
-                             warmup=0, early_stop_patience=2, seed=0, dropout=0.0,
-                             max_seq_len=16)
+                             warmup=0, early_stop_patience=2, seed=0, max_seq_len=16)
         result = train(model, vocab, examples, config)
         assert len(result.history) == 3
         assert result.stopped_early
@@ -291,7 +289,7 @@ class TestTrainLoop:
             model, vocab, examples = tiny_model_and_corpus(default_schema, n=n_examples, seed=5)
             config = TrainConfig(
                 batch_size=batch_size, grad_accumulation_steps=accum, epochs=1,
-                warmup=0, seed=5, dropout=0.0, max_seq_len=16,
+                warmup=0, seed=5, max_seq_len=16,
             )
             snaps = []
             train(model, vocab, examples, config, validation=examples[:8],
@@ -308,14 +306,14 @@ class TestTrainLoop:
         poisoned = T.tensor(float("nan"))
         monkeypatch.setattr(model, "loss", lambda preds, batch: poisoned, raising=False)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=2,
-                             warmup=0, seed=0, dropout=0.0, max_seq_len=16)
+                             warmup=0, seed=0, max_seq_len=16)
         with pytest.raises(NumericError, match="last completed epoch: 0"):
             train(model, vocab, examples, config)
 
     def test_best_index_matches_selector(self, default_schema):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=24, seed=4)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=3,
-                             warmup=0, seed=4, dropout=0.0, max_seq_len=16)
+                             warmup=0, seed=4, max_seq_len=16)
         result = train(model, vocab, examples, config)
         assert result.best_index == select_checkpoint(result.history)
 
@@ -328,7 +326,8 @@ class TestTrainLoop:
         assert emotion.early_stop_patience is None and not emotion.augment
         mh = TrainConfig.mental_health_preset()
         assert (mh.learning_rate, mh.batch_size, mh.epochs) == (1.5e-5, 12, 10)
-        assert (mh.warmup, mh.dropout, mh.early_stop_patience) == (400, 0.15, 3)
+        assert (mh.warmup, mh.early_stop_patience) == (400, 3)
+        assert not hasattr(mh, "dropout")  # dropout is the encoder's: EncoderConfig.dropout
         assert mh.max_seq_len == 256 and mh.augment
         assert (mh.p_synonym, mh.p_deletion) == (0.1, 0.1)
 
@@ -347,7 +346,7 @@ class TestTrainLoop:
         )
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=16)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=3,
-                             warmup=0, seed=1, dropout=0.0, max_seq_len=16)
+                             warmup=0, seed=1, max_seq_len=16)
         result = train(model, vocab, examples, config)
         assert result.best_index == 0
         current = model.parameters()
@@ -360,7 +359,7 @@ class TestPersistence:
     def test_checkpoint_round_trip_bitexact_eval(self, default_schema, tmp_path):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=24, seed=7)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=1,
-                             warmup=0, seed=7, dropout=0.0, max_seq_len=16)
+                             warmup=0, seed=7, max_seq_len=16)
         result = train(model, vocab, examples, config, validation=examples[:8])
         before = evaluate(model, examples[:8], vocab, config)
 
