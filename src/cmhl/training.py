@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -210,21 +212,41 @@ def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: Tr
     """Argmax predictions and max-probability confidences, in input order.
 
     Eval mode without a graph. Batches are taken in order of token count
-    (stable), so each pads only to the longest of near-equal lengths; results
-    are scattered back to the order of ``examples``.
+    (stable), so each pads only to the longest of near-equal lengths. The
+    caller walks them from the short end and one helper thread from the long
+    end until they meet, so the longest batch only ever runs beside a short
+    one. Every batch is that of a serial walk, so the results are identical.
+    The first error in either walker stops both and is raised here.
     """
     lengths = np.array([len(tokenize(ex.text)) for ex in examples], dtype=np.intp)
     order = np.argsort(lengths, kind="stable")
-    preds = np.empty(len(examples), dtype=np.intp)
-    confs = np.empty(len(examples))
-    with T.no_grad():
-        for start in range(0, len(examples), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
-            batch = encode_batch([examples[i] for i in idx], vocab, max(seq, 2))
-            probs = model.primary_probs(model.forward(batch)).data
-            preds[idx] = probs.argmax(axis=1)
-            confs[idx] = probs.max(axis=1)
+    preds, confs = np.empty(len(examples), dtype=np.intp), np.empty(len(examples))
+    pending = deque(order[start : start + config.batch_size] for start in range(0, len(examples), config.batch_size))
+    lock, errors = threading.Lock(), []
+
+    def walk(from_long_end: bool) -> None:
+        try:
+            with T.no_grad():  # a new thread does not inherit the caller's grad mode
+                while True:
+                    with lock:
+                        if not pending:
+                            return
+                        idx = pending.pop() if from_long_end else pending.popleft()
+                    seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
+                    batch = encode_batch([examples[i] for i in idx], vocab, max(seq, 2))
+                    probs = model.primary_probs(model.forward(batch)).data
+                    preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
+        except BaseException as exc:
+            with lock:
+                pending.clear()
+            errors.append(exc)
+
+    helper = threading.Thread(target=walk, args=(True,))
+    helper.start()
+    walk(False)
+    helper.join()
+    if errors:
+        raise errors[0]
     return preds, confs
 
 

@@ -54,6 +54,15 @@ def mixed_length_examples(examples: list[LabeledExample]) -> list[LabeledExample
     return out
 
 
+def long_tail_examples(examples: list[LabeledExample], count: int = 3, tokens: int = 120) -> list[LabeledExample]:
+    """``mixed_length_examples`` with the last ``count`` texts repeated to
+    ``tokens`` tokens, so that they land in the longest length-sorted batch."""
+    out = mixed_length_examples(examples)
+    for i in range(len(out) - count, len(out)):
+        out[i] = dataclasses.replace(out[i], text=" ".join((out[i].text.split() * tokens)[:tokens]))
+    return out
+
+
 def contradiction_examples(n: int, seed: int, schema: AffectSchema) -> list[LabeledExample]:
     """Ambiguous fixture: every text mixes joy and anger words; labels split
     evenly between the two, inviting simultaneous high joy/anger mass."""

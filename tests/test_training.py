@@ -1,12 +1,14 @@
 """Optimizer, schedule, metrics, selection, early stopping, persistence."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from cmhl import tensor as T
 from cmhl import training
 from cmhl.affect import LossWeights
-from cmhl.data import LabeledExample, build_vocab
+from cmhl.data import LabeledExample, build_vocab, encode_batch, tokenize
 from cmhl.encoder import EncoderConfig
 from cmhl.errors import ConfigError, DataError, NumericError
 from cmhl.heads import EmotionModel
@@ -28,7 +30,7 @@ from cmhl.training import (
     write_metrics_csv,
 )
 
-from conftest import mixed_length_examples, synthetic_emotion_examples
+from conftest import long_tail_examples, mixed_length_examples, synthetic_emotion_examples
 
 
 def scalar_state():
@@ -231,6 +233,60 @@ def tiny_model_and_corpus(default_schema, n=32, seed=0):
     return model, vocab, examples
 
 
+def serial_predict(model, examples, vocab, config):
+    """The one-thread walk over length-sorted batches that ``predict`` must match bit for bit."""
+    lengths = np.array([len(tokenize(ex.text)) for ex in examples], dtype=np.intp)
+    order = np.argsort(lengths, kind="stable")
+    preds, confs = np.empty(len(examples), dtype=np.intp), np.empty(len(examples))
+    with T.no_grad():
+        for start in range(0, len(examples), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
+            probs = model.primary_probs(model.forward(encode_batch([examples[i] for i in idx], vocab, max(seq, 2)))).data
+            preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
+    return preds, confs
+
+
+def log_forwards(model, monkeypatch):
+    """Record (in the calling thread?, padded length, returned?) for every forward.
+
+    The calling thread's first forward waits until the helper's first one has
+    ended, so the helper surely runs a batch; ``predict`` needs two or more.
+    """
+    log, helper_ran = [], threading.Event()
+    forward = model.forward
+
+    def logged(batch, **kwargs):
+        caller = threading.current_thread() is threading.main_thread()
+        if caller:
+            assert helper_ran.wait(timeout=60)
+        try:
+            out = forward(batch, **kwargs)
+            log.append((caller, batch.token_ids.shape[1], True))
+            return out
+        except Exception:
+            log.append((caller, batch.token_ids.shape[1], False))
+            raise
+        finally:
+            if not caller:
+                helper_ran.set()
+
+    monkeypatch.setattr(model, "forward", logged)
+    return log
+
+
+def long_tail_model(default_schema, nan_from: int | None = None):
+    """A 128-position model on 30 examples whose three longest have 120 tokens;
+    ``pos_emb`` is NaN from position ``nan_from`` on, when set."""
+    examples = long_tail_examples(synthetic_emotion_examples(30, 2, default_schema))
+    vocab = build_vocab(examples, min_freq=1)
+    cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=128, dropout=0.0)
+    model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=2)
+    if nan_from is not None:
+        model.encoder.params["pos_emb"].data[nan_from:] = np.nan
+    return model, vocab, examples, TrainConfig(batch_size=4, max_seq_len=128)
+
+
 class TestPredict:
     def test_mixed_lengths_come_back_in_input_order(self, default_schema):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=30, seed=2)
@@ -242,6 +298,56 @@ class TestPredict:
         # padding to a longer batch moves confidences only at the last-bit level
         np.testing.assert_allclose(confs, [c[0] for _, c in singles], rtol=0, atol=1e-15)
         assert np.ptp(confs) > 1e-6
+
+    @pytest.mark.parametrize("n,batches", [(0, 0), (3, 1), (8, 2), (19, 5)])
+    def test_bit_identical_to_serial_walk(self, default_schema, n, batches):
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=max(n, 1), seed=2)
+        examples = mixed_length_examples(examples)[:n]
+        config = TrainConfig(batch_size=4, max_seq_len=16)
+        assert -(-n // config.batch_size) == batches
+        threads = threading.active_count()
+        preds, confs = predict(model, examples, vocab, config)
+        assert threading.active_count() == threads
+        ref_preds, ref_confs = serial_predict(model, examples, vocab, config)
+        np.testing.assert_array_equal(preds, ref_preds)
+        assert confs.tobytes() == ref_confs.tobytes()
+
+    def test_long_tail_matches_serial_walk(self, default_schema, monkeypatch):
+        model, vocab, examples, config = long_tail_model(default_schema)
+        ref_preds, ref_confs = serial_predict(model, examples, vocab, config)
+        log = log_forwards(model, monkeypatch)
+        preds, confs = predict(model, examples, vocab, config)
+        np.testing.assert_array_equal(preds, ref_preds)
+        assert confs.tobytes() == ref_confs.tobytes()
+        # the helper starts at the long end, the caller at the short end
+        assert log[0] == (False, 121, True) and {caller for caller, _, _ in log} == {True, False}
+
+    def test_helper_error_reaches_caller(self, default_schema, monkeypatch):
+        """NaN positions past 100 fail only the long-end batch, which the helper runs."""
+        model, vocab, examples, config = long_tail_model(default_schema, nan_from=101)
+        log = log_forwards(model, monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="non-finite"):
+            predict(model, examples, vocab, config)
+        assert threading.active_count() == threads
+        assert [entry for entry in log if not entry[2]] == [(False, 121, False)]
+        assert all(returned for caller, _, returned in log if caller)
+
+    def test_no_graph_in_either_thread(self, default_schema, monkeypatch):
+        model, vocab, examples, config = long_tail_model(default_schema)
+        log_forwards(model, monkeypatch)
+        graph_threads, tensor_threads = [], set()
+        init = T.Tensor.__init__
+
+        def recorded(tensor, data, requires_grad=False, _parents=(), op="leaf"):
+            init(tensor, data, requires_grad, _parents, op)
+            tensor_threads.add(threading.current_thread().name)
+            if requires_grad:
+                graph_threads.append(threading.current_thread().name)
+
+        monkeypatch.setattr(T.Tensor, "__init__", recorded)
+        predict(model, examples, vocab, config)
+        assert len(tensor_threads) == 2 and graph_threads == []
 
 
 class TestTrainLoop:
