@@ -63,13 +63,12 @@ def task_loss(preds: EmotionPrediction, labels: dict[str, np.ndarray], weights: 
 
 
 def exclusivity_loss(p_e: T.Tensor, thresholds: ThresholdMatrix, taxonomy: EmotionTaxonomy) -> T.Tensor:
-    """Batch-mean hinge on opposing-pair probability sums above their thresholds."""
-    probs = p_e.reshape(1, p_e.shape[0]) if p_e.data.ndim == 1 else p_e
-    rows = probs.shape[0]
+    """Batch-mean hinge on opposing-pair probability sums above their thresholds; ``p_e`` is [batch, k]."""
+    rows = p_e.shape[0]
     pos_idx, neg_idx = taxonomy.positive, taxonomy.negative
     tau = np.array([[thresholds.get(i, j) for j in neg_idx] for i in pos_idx])
-    pos = T.gather(probs, pos_idx, axis=-1).reshape(rows, len(pos_idx), 1)
-    neg = T.gather(probs, neg_idx, axis=-1).reshape(rows, 1, len(neg_idx))
+    pos = T.gather(p_e, pos_idx, axis=-1).reshape(rows, len(pos_idx), 1)
+    neg = T.gather(p_e, neg_idx, axis=-1).reshape(rows, 1, len(neg_idx))
     hinged = T.relu(pos + neg - T.tensor(tau))
     return hinged.sum(axis=2).sum(axis=1).mean()
 

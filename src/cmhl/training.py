@@ -135,6 +135,8 @@ def adamw_step(
     Each operation of the textbook update runs in its order through ``out=``
     into one scratch pair sized to the largest parameter.
     """
+    if not math.isfinite(lr_t):
+        raise NumericError(f"non-finite learning rate {lr_t}")
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
@@ -367,34 +369,25 @@ def train(
                 min(group_start + config.grad_accumulation_steps, micro_per_epoch),
             )
             group_loss = 0.0
-            for micro_idx in group:
-                sel = order[micro_idx * config.batch_size : (micro_idx + 1) * config.batch_size]
-                chunk = [train_examples[i] for i in sel]
-                if config.augment and lexicon:
-                    chunk = [
-                        augment(
-                            ex,
-                            augmentation_rng(config.seed, epoch, int(orig)),
-                            config.p_synonym,
-                            config.p_deletion,
-                            lexicon,
-                        )
-                        for ex, orig in zip(chunk, sel)
-                    ]
-                seq = min(config.max_seq_len, 1 + max(len(tokenize(ex.text)) for ex in chunk))
-                batch = encode_batch(chunk, vocab, max(seq, 2))
-                rng = np.random.default_rng([config.seed, 7, epoch, micro_idx])
-                preds = model.forward(batch, training=True, rng=rng)
-                loss = model.loss(preds, batch) / len(group)
-                if not np.isfinite(loss.data):
-                    raise NumericError(
-                        f"training diverged (non-finite loss) at epoch {epoch + 1}; "
-                        f"last completed epoch: {len(history)}"
-                    )
-                T.backward(loss)
-                group_loss += loss.item()
-            lr_t = lr_at(global_step, total_steps, warmup, config.learning_rate)
-            optimizer.step(lr_t)
+            try:  # every numeric failure of a step names the epoch it stopped in
+                for micro_idx in group:
+                    sel = order[micro_idx * config.batch_size : (micro_idx + 1) * config.batch_size]
+                    chunk = [train_examples[i] for i in sel]
+                    if config.augment and lexicon:
+                        chunk = [augment(ex, augmentation_rng(config.seed, epoch, int(orig)), config.p_synonym,
+                                         config.p_deletion, lexicon) for ex, orig in zip(chunk, sel)]
+                    seq = min(config.max_seq_len, 1 + max(len(tokenize(ex.text)) for ex in chunk))
+                    batch = encode_batch(chunk, vocab, max(seq, 2))
+                    rng = np.random.default_rng([config.seed, 7, epoch, micro_idx])
+                    preds = model.forward(batch, training=True, rng=rng)
+                    loss = model.loss(preds, batch) / len(group)
+                    if not np.isfinite(loss.data):
+                        raise NumericError("training diverged (non-finite loss)")
+                    T.backward(loss)
+                    group_loss += loss.item()
+                optimizer.step(lr_at(global_step, total_steps, warmup, config.learning_rate))
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch + 1}; last completed epoch: {len(history)}") from None
             optimizer.zero_grad()
             global_step += 1
             step_losses.append(group_loss)

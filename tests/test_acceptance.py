@@ -92,7 +92,7 @@ def test_c3_exclusivity_oracle(default_schema):
         tau={(i, j): 1.0 for i in taxonomy.positive for j in taxonomy.negative},
     )
     for p in probs[:200]:
-        assert exclusivity_loss(T.tensor(p), saturated, taxonomy).item() == 0.0
+        assert exclusivity_loss(T.tensor([p]), saturated, taxonomy).item() == 0.0
     report(3, f"vectorized vs naive oracle (|diff| = {abs(vectorized - naive):.2e}), simplex bound exact")
 
 

@@ -205,6 +205,7 @@ class TestTrain:
         assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert "non-finite learning rate nan at epoch 2; last completed epoch: 1" in err
         assert not (tmp_path / "run" / "checkpoint" / "manifest.json").exists()
 
     def test_config_not_an_object(self, tmp_path, capsys):

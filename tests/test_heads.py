@@ -131,7 +131,7 @@ class TestTaskLoss:
 
 class TestExclusivityLoss:
     def test_uniform_probs_below_threshold(self, schema):
-        p = T.tensor([1 / 6] * 6)
+        p = T.tensor([[1 / 6] * 6])
         tau = uniform_tau(schema, 0.34)
         assert exclusivity_loss(p, tau, schema.taxonomy).item() == pytest.approx(0.0, abs=1e-15)
 
@@ -139,7 +139,7 @@ class TestExclusivityLoss:
         p = np.zeros(6)
         p[schema.names.index("joy")] = 1.0
         tau = uniform_tau(schema, 0.8)
-        loss = exclusivity_loss(T.tensor(p), tau, schema.taxonomy)
+        loss = exclusivity_loss(T.tensor([p]), tau, schema.taxonomy)
         # three joy-negative pairs active at 0.2 each; love pairs contribute 0
         assert loss.item() == pytest.approx(0.6, abs=1e-12)
         assert loss.item() == pytest.approx(naive_exclusivity(p, tau, schema.taxonomy), abs=1e-15)
@@ -149,7 +149,7 @@ class TestExclusivityLoss:
         tau = uniform_tau(schema, 1.0)
         for _ in range(100):
             p = rng.dirichlet(np.ones(6))
-            assert exclusivity_loss(T.tensor(p), tau, schema.taxonomy).item() == 0.0
+            assert exclusivity_loss(T.tensor([p]), tau, schema.taxonomy).item() == 0.0
 
     def test_vectorized_matches_naive_oracle(self, schema):
         rng = np.random.default_rng(9)
@@ -164,7 +164,7 @@ class TestExclusivityLoss:
         p1 = np.zeros(6)
         p1[schema.names.index("joy")] = 1.0
         p2 = np.full(6, 1 / 6)
-        single = exclusivity_loss(T.tensor(p1), tau, schema.taxonomy).item()
+        single = exclusivity_loss(T.tensor([p1]), tau, schema.taxonomy).item()
         batch = exclusivity_loss(T.tensor(np.stack([p1, p2])), tau, schema.taxonomy).item()
         expected = (single + naive_exclusivity(p2, tau, schema.taxonomy)) / 2
         assert batch == pytest.approx(expected, abs=1e-12)
@@ -180,7 +180,7 @@ class TestExclusivityLoss:
             p[joy] += bump
             p[anger] += bump
             p[schema.names.index("surprise")] -= 2 * bump
-            value = exclusivity_loss(T.tensor(p), tau, schema.taxonomy).item()
+            value = exclusivity_loss(T.tensor([p]), tau, schema.taxonomy).item()
             assert value >= prev - 1e-12
             prev = value
 
@@ -188,14 +188,14 @@ class TestExclusivityLoss:
         rng = np.random.default_rng(13)
         for _ in range(50):
             p = rng.dirichlet(np.ones(6))
-            assert exclusivity_loss(T.tensor(p), schema.thresholds, schema.taxonomy).item() >= 0.0
+            assert exclusivity_loss(T.tensor([p]), schema.thresholds, schema.taxonomy).item() >= 0.0
 
     def test_missing_pair_raises_schema_error(self, schema):
         from cmhl.errors import SchemaError
 
         incomplete = ThresholdMatrix(tau0=0.8, scale=0.0, tau={})
         with pytest.raises(SchemaError):
-            exclusivity_loss(T.tensor([1 / 6] * 6), incomplete, schema.taxonomy)
+            exclusivity_loss(T.tensor([[1 / 6] * 6]), incomplete, schema.taxonomy)
 
 
 class TestTotalLoss:

@@ -59,6 +59,20 @@ class TestAdamW:
         with pytest.raises(NumericError, match="x"):
             adamw_step(p, {"x": np.array(np.nan)}, scalar_state(), lr_t=1e-3, decay=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_nonfinite_lr_rejected_before_any_parameter_moves(self, lr):
+        params = {"a": np.array([1.0, -2.0]), "b": np.array(0.5)}
+        grads = {"a": np.array([0.1, 0.2]), "b": np.array(-0.3)}
+        state = {"step": 3, "m": {k: np.full_like(v, 0.01) for k, v in params.items()},
+                 "v": {k: np.full_like(v, 0.02) for k, v in params.items()}}
+        before = {k: v.copy() for k, v in params.items()}
+        with pytest.raises(NumericError, match="non-finite learning rate"):
+            adamw_step(params, grads, state, lr_t=lr, decay=0.01)
+        for k in params:
+            assert params[k].tobytes() == before[k].tobytes(), k
+            assert np.all(state["m"][k] == 0.01) and np.all(state["v"][k] == 0.02), k
+        assert state["step"] == 3
+
     def test_wrapper_consumes_tensor_grads(self):
         t = T.tensor(1.0, requires_grad=True)
         opt = AdamW({"w": t}, weight_decay=0.0)
