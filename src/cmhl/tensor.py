@@ -252,7 +252,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # `linear` runs products below this many multiply-adds as NumPy's stacked
 # matmul, one GEMM per sample, not as one 2-D GEMM that OpenBLAS threads: its
 # second thread gains little there and stalls whenever the other core is busy
-# (a desk-encoder `cmhl eval` ran 2.4x slower beside one busy process).
+# (a desk-encoder `cmhl eval` ran 2.4x slower beside one busy process). A
+# [B, 1, d] input is one 2-D GEMM at any size: stacked, it would be B GEMVs.
 _GEMM_2D_MIN_MACS = 1 << 24
 
 
@@ -263,7 +264,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.shape[-1] != d or b.data.shape != (k,):
         raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
     rows = x.data.reshape(-1, d)
-    stacked = rows.size * k < _GEMM_2D_MIN_MACS
+    stacked = rows.size * k < _GEMM_2D_MIN_MACS and x.data.shape[-2:-1] != (1,)
     y = np.matmul(x.data, w.data) if stacked else (rows @ w.data).reshape(*x.data.shape[:-1], k)
     y += b.data
     out = _node(y, (x, w, b), "linear")
