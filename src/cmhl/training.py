@@ -238,7 +238,7 @@ def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: Tr
                     batch = encode_batch([examples[i] for i in idx], vocab, max(seq, 2))
                     probs = model.primary_probs(model.forward(batch)).data
                     preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
-        except BaseException as exc:
+        except BaseException as exc:  # raised in the caller once the helper has ended
             with lock:
                 pending.clear()
             errors.append(exc)
@@ -374,8 +374,16 @@ def train(
                     sel = order[micro_idx * config.batch_size : (micro_idx + 1) * config.batch_size]
                     chunk = [train_examples[i] for i in sel]
                     if config.augment and lexicon:
-                        chunk = [augment(ex, augmentation_rng(config.seed, epoch, int(orig)), config.p_synonym,
-                                         config.p_deletion, lexicon) for ex, orig in zip(chunk, sel)]
+                        chunk = [
+                            augment(
+                                ex,
+                                augmentation_rng(config.seed, epoch, int(orig)),
+                                config.p_synonym,
+                                config.p_deletion,
+                                lexicon,
+                            )
+                            for ex, orig in zip(chunk, sel)
+                        ]
                     seq = min(config.max_seq_len, 1 + max(len(tokenize(ex.text)) for ex in chunk))
                     batch = encode_batch(chunk, vocab, max(seq, 2))
                     rng = np.random.default_rng([config.seed, 7, epoch, micro_idx])

@@ -1,5 +1,6 @@
 """Optimizer, schedule, metrics, selection, early stopping, persistence."""
 
+import sys
 import threading
 
 import numpy as np
@@ -346,6 +347,41 @@ class TestPredict:
         assert threading.active_count() == threads
         assert [entry for entry in log if not entry[2]] == [(False, 121, False)]
         assert all(returned for caller, _, returned in log if caller)
+
+    def test_every_batch_runs_once_under_fast_switching(self, default_schema, monkeypatch):
+        """Three concurrent calls (six walkers on two cores) with a 1 us switch interval."""
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=60, seed=2)
+        examples = mixed_length_examples(examples)
+        config = TrainConfig(batch_size=1, max_seq_len=16)
+        ref_preds, ref_confs = serial_predict(model, examples, vocab, config)
+        forward, count_lock, forwards = model.forward, threading.Lock(), [0]
+
+        def counted(batch, **kwargs):
+            with count_lock:
+                forwards[0] += 1
+            return forward(batch, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        results = [None] * 3
+
+        def call(i):
+            results[i] = predict(model, examples, vocab, config)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert forwards[0] == 3 * len(examples)
+        for preds, confs in results:
+            np.testing.assert_array_equal(preds, ref_preds)
+            assert confs.tobytes() == ref_confs.tobytes()
 
     def test_no_graph_in_either_thread(self, default_schema, monkeypatch):
         model, vocab, examples, config = long_tail_model(default_schema)
