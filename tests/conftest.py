@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from cmhl.affect import AffectSchema
-from cmhl.data import LabeledExample
+from cmhl.affect import AffectSchema, LossWeights
+from cmhl.data import LabeledExample, build_vocab
+from cmhl.encoder import EncoderConfig
+from cmhl.heads import EmotionModel
+from cmhl.training import TrainConfig
 
 CLASS_WORDS = {
     "sadness": ("grief", "weeping", "hollow", "mourning"),
@@ -54,13 +57,20 @@ def mixed_length_examples(examples: list[LabeledExample]) -> list[LabeledExample
     return out
 
 
-def long_tail_examples(examples: list[LabeledExample], count: int = 3, tokens: int = 120) -> list[LabeledExample]:
-    """``mixed_length_examples`` with the last ``count`` texts repeated to
-    ``tokens`` tokens, so that they land in the longest length-sorted batch."""
-    out = mixed_length_examples(examples)
-    for i in range(len(out) - count, len(out)):
-        out[i] = dataclasses.replace(out[i], text=" ".join((out[i].text.split() * tokens)[:tokens]))
-    return out
+def long_tail_model(schema: AffectSchema, nan_from: int | None = None):
+    """A 128-position emotion model, its vocabulary, 30 mixed-length examples
+    whose last three have 120 tokens (so they fill the longest length-sorted
+    batch) and a batch-4 eval config; ``pos_emb`` is NaN from position
+    ``nan_from`` on, when set."""
+    out = mixed_length_examples(synthetic_emotion_examples(30, 2, schema))
+    for i in range(len(out) - 3, len(out)):
+        out[i] = dataclasses.replace(out[i], text=" ".join((out[i].text.split() * 120)[:120]))
+    vocab = build_vocab(out, min_freq=1)
+    encoder = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=128, dropout=0.0)
+    model = EmotionModel.build(encoder, len(vocab), schema, LossWeights(), seed=2)
+    if nan_from is not None:
+        model.encoder.params["pos_emb"].data[nan_from:] = np.nan
+    return model, vocab, out, TrainConfig(batch_size=4, max_seq_len=128)
 
 
 def contradiction_examples(n: int, seed: int, schema: AffectSchema) -> list[LabeledExample]:

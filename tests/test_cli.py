@@ -15,13 +15,9 @@ import cmhl
 import cmhl.cli
 import cmhl.training
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from cmhl.affect import LossWeights
-from cmhl.data import MHLabelSchema, build_vocab, load_corpus, split_examples
-from cmhl.encoder import EncoderConfig
-from cmhl.heads import EmotionModel
+from cmhl.data import MHLabelSchema, load_corpus, split_examples
 from cmhl.training import (
     Checkpoint,
-    TrainConfig,
     accuracy,
     load_checkpoint,
     model_from_checkpoint,
@@ -29,7 +25,7 @@ from cmhl.training import (
     save_checkpoint,
 )
 
-from conftest import long_tail_examples, mixed_length_examples, synthetic_emotion_examples, write_corpus_jsonl
+from conftest import long_tail_model, mixed_length_examples, synthetic_emotion_examples, write_corpus_jsonl
 
 
 def write_lines(path, rows):
@@ -479,18 +475,13 @@ class TestEval:
         assert len(calls) == 1
 
     def test_nonfinite_long_batch_exits_numeric(self, tmp_path, default_schema, capsys):
-        """NaN positions past 100 fail only the longest batch, which the helper walker runs."""
-        examples = long_tail_examples(synthetic_emotion_examples(30, 2, default_schema))
+        """NaN positions past 100 fail only the longest batch, where the helper walker starts."""
+        model, vocab, examples, config = long_tail_model(default_schema, nan_from=101)
         write_corpus_jsonl(tmp_path / "long.jsonl", examples, default_schema)
-        vocab = build_vocab(examples, min_freq=1)
-        encoder = EncoderConfig(**{**TOY_ENCODER, "max_positions": 128})
-        model = EmotionModel.build(encoder, len(vocab), default_schema, LossWeights(), seed=2)
-        tensors = {k: v.data for k, v in model.parameters().items()}
-        tensors["pos_emb"][101:] = np.nan
         save_checkpoint(
-            Checkpoint(task="emotion", encoder_config=encoder, train_config=TrainConfig(batch_size=4, max_seq_len=128),
-                       loss_weights=LossWeights(), vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=0,
-                       metrics=None, tensors=tensors),
+            Checkpoint(task="emotion", encoder_config=model.encoder.config, train_config=config,
+                       loss_weights=model.weights, vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=0,
+                       metrics=None, tensors={k: v.data for k, v in model.parameters().items()}),
             tmp_path / "checkpoint",
         )
         threads = threading.active_count()

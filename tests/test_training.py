@@ -31,7 +31,7 @@ from cmhl.training import (
     write_metrics_csv,
 )
 
-from conftest import long_tail_examples, mixed_length_examples, synthetic_emotion_examples
+from conftest import long_tail_model, mixed_length_examples, synthetic_emotion_examples
 
 
 def scalar_state():
@@ -265,16 +265,21 @@ def serial_predict(model, examples, vocab, config):
 def log_forwards(model, monkeypatch):
     """Record (in the calling thread?, padded length, returned?) for every forward.
 
-    The calling thread's first forward waits until the helper's first one has
-    ended, so the helper surely runs a batch; ``predict`` needs two or more.
+    Each walker's first forward waits for the other's: the caller's until the
+    helper's has ended, the helper's until the caller's has begun. So each
+    thread runs a batch, even one that would otherwise take them all, and the
+    helper's first batch is logged first; ``predict`` needs two or more.
     """
-    log, helper_ran = [], threading.Event()
+    log, caller_began, helper_ended = [], threading.Event(), threading.Event()
     forward = model.forward
 
     def logged(batch, **kwargs):
         caller = threading.current_thread() is threading.main_thread()
         if caller:
-            assert helper_ran.wait(timeout=60)
+            caller_began.set()
+            assert helper_ended.wait(timeout=60)
+        else:
+            assert caller_began.wait(timeout=60)
         try:
             out = forward(batch, **kwargs)
             log.append((caller, batch.token_ids.shape[1], True))
@@ -284,22 +289,10 @@ def log_forwards(model, monkeypatch):
             raise
         finally:
             if not caller:
-                helper_ran.set()
+                helper_ended.set()
 
     monkeypatch.setattr(model, "forward", logged)
     return log
-
-
-def long_tail_model(default_schema, nan_from: int | None = None):
-    """A 128-position model on 30 examples whose three longest have 120 tokens;
-    ``pos_emb`` is NaN from position ``nan_from`` on, when set."""
-    examples = long_tail_examples(synthetic_emotion_examples(30, 2, default_schema))
-    vocab = build_vocab(examples, min_freq=1)
-    cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=128, dropout=0.0)
-    model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed=2)
-    if nan_from is not None:
-        model.encoder.params["pos_emb"].data[nan_from:] = np.nan
-    return model, vocab, examples, TrainConfig(batch_size=4, max_seq_len=128)
 
 
 class TestPredict:
