@@ -9,10 +9,13 @@ thresholds driven by their distance in valence-arousal space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, SchemaError, read_json_object
+import numpy as np
+
+from .errors import ConfigError, SchemaError, json_object, read_json_object, string_list
 
 VALENCE_LABELS = ("positive", "negative", "neutral")
 INTENSITY_LABELS = ("high", "low")
@@ -74,51 +77,6 @@ class EmotionTaxonomy:
 
 
 @dataclass(frozen=True)
-class CircumplexTable:
-    """Per-emotion (valence, arousal) coordinates, both in [-1, 1]."""
-
-    coords: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        for v, a in self.coords:
-            if not (math.isfinite(v) and math.isfinite(a)):
-                raise ConfigError("circumplex coordinates must be finite")
-            if not (-1.0 <= v <= 1.0 and -1.0 <= a <= 1.0):
-                raise ConfigError(f"coordinate ({v}, {a}) outside [-1, 1]")
-
-    def max_pair_distance(self) -> float:
-        n = len(self.coords)
-        return max(
-            (math.dist(self.coords[i], self.coords[j]) for i in range(n) for j in range(i + 1, n)),
-            default=0.0,
-        )
-
-    def distance(self, i: int, j: int) -> float:
-        """Euclidean distance normalized by the table's maximum pair distance."""
-        if not (0 <= i < len(self.coords) and 0 <= j < len(self.coords)):
-            raise SchemaError(f"emotion index pair ({i}, {j}) outside the coordinate table")
-        top = self.max_pair_distance()
-        if top == 0.0:
-            return 0.0
-        return math.dist(self.coords[i], self.coords[j]) / top
-
-
-@dataclass(frozen=True)
-class ThresholdMatrix:
-    """Probability-sum thresholds for every (positive, negative) emotion pair."""
-
-    tau0: float
-    scale: float
-    tau: dict[tuple[int, int], float]
-
-    def get(self, i: int, j: int) -> float:
-        try:
-            return self.tau[(i, j)]
-        except KeyError:
-            raise SchemaError(f"no threshold stored for emotion pair ({i}, {j})") from None
-
-
-@dataclass(frozen=True)
 class LossWeights:
     """Composite-objective weights: two auxiliary-task weights plus the
     exclusivity strength."""
@@ -132,47 +90,55 @@ class LossWeights:
             raise ConfigError("loss weights must be non-negative")
 
 
-def build_threshold_matrix(
-    tau0: float, scale: float, table: CircumplexTable, taxonomy: EmotionTaxonomy
-) -> ThresholdMatrix:
-    """Thresholds tau0 + scale * distance, clamped into (0.05, 0.99).
-
-    A negative scale gives far-apart pairs a lower threshold, i.e. a tighter
-    co-activation budget. Values below 1 keep the penalty reachable: two
-    softmax entries can never sum past 1.
-    """
-    if not 0.0 < tau0 < 1.0:
-        raise ConfigError(f"tau0 must lie in (0, 1), got {tau0}")
-    lo, hi = TAU_CLAMP
-    tau = {
-        (i, j): min(hi, max(lo, tau0 + scale * table.distance(i, j)))
-        for i in taxonomy.positive
-        for j in taxonomy.negative
-    }
-    return ThresholdMatrix(tau0=tau0, scale=scale, tau=tau)
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number that a float holds finitely (True is an int to Python)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
 class AffectSchema:
-    """Taxonomy + coordinates + thresholds, the full label-derivation context."""
+    """Taxonomy, per-emotion (valence, arousal) coordinates in [-1, 1] and the
+    opposing-pair thresholds: the full label-derivation and hinge context.
+
+    ``tau[a, b]`` is the probability-sum threshold of the pair
+    (``taxonomy.positive[a]``, ``taxonomy.negative[b]``): tau0 + scale *
+    distance, clamped into [0.05, 0.99]. A negative scale gives far-apart
+    pairs a lower threshold, i.e. a tighter co-activation budget. Values
+    below 1 keep the penalty reachable: two softmax entries can never sum
+    past 1. ``tau`` is built once, from the other fields.
+    """
 
     taxonomy: EmotionTaxonomy
-    table: CircumplexTable
-    thresholds: ThresholdMatrix
-    high_intensity: tuple[int, ...] = field(default=())
+    coords: tuple[tuple[float, float], ...]
+    tau0: float
+    scale: float
+    high_intensity: tuple[int, ...] = ()
+    tau: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.table.coords) != len(self.taxonomy):
+        if len(self.coords) != len(self.taxonomy):
             raise ConfigError("coordinate table size must match the taxonomy")
+        for v, a in self.coords:
+            if not (-1.0 <= v <= 1.0 and -1.0 <= a <= 1.0):  # also false for nan
+                raise ConfigError(f"coordinate ({v}, {a}) outside [-1, 1]")
         for i in self.taxonomy.positive:
-            if self.table.coords[i][0] <= 0:
+            if self.coords[i][0] <= 0:
                 raise ConfigError(f"positive emotion {self.taxonomy.emotions[i]!r} needs valence > 0")
         for i in self.taxonomy.negative:
-            if self.table.coords[i][0] >= 0:
+            if self.coords[i][0] >= 0:
                 raise ConfigError(f"negative emotion {self.taxonomy.emotions[i]!r} needs valence < 0")
         for i in self.taxonomy.neutral:
-            if abs(self.table.coords[i][0]) > _NEUTRAL_VALENCE_BAND:
+            if abs(self.coords[i][0]) > _NEUTRAL_VALENCE_BAND:
                 raise ConfigError(f"neutral emotion {self.taxonomy.emotions[i]!r} needs valence near 0")
+        if not 0.0 < self.tau0 < 1.0:
+            raise ConfigError(f"tau0 must lie in (0, 1), got {self.tau0}")
+        lo, hi = TAU_CLAMP
+        pos, neg = self.taxonomy.positive, self.taxonomy.negative
+        tau = np.array(
+            [[min(hi, max(lo, self.tau0 + self.scale * self.distance(i, j))) for j in neg] for i in pos]
+        ).reshape(len(pos), len(neg))
+        tau.flags.writeable = False  # shared by every loss call
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def default(cls) -> "AffectSchema":
@@ -182,26 +148,23 @@ class AffectSchema:
     def build(cls, emotions, positive, negative, coords, tau0, scale, high=None) -> "AffectSchema":
         emotions = tuple(emotions)
         by_name = {name: i for i, name in enumerate(emotions)}
-        missing = [n for n in (*positive, *negative) if n not in by_name]
-        if missing:
-            raise ConfigError(f"valence sets name unknown emotions: {missing}")
-        taxonomy = EmotionTaxonomy(
-            emotions=emotions,
-            positive=tuple(by_name[n] for n in positive),
-            negative=tuple(by_name[n] for n in negative),
-        )
+
+        def indices(names, key: str) -> tuple[int, ...]:
+            missing = [n for n in names if n not in by_name]
+            if missing:
+                raise ConfigError(f"{key!r} names unknown emotions: {missing}")
+            return tuple(by_name[n] for n in names)
+
+        taxonomy = EmotionTaxonomy(emotions, indices(positive, "positive"), indices(negative, "negative"))
         try:
-            table = CircumplexTable(coords=tuple(tuple(coords[n]) for n in emotions))
+            points = tuple(tuple(coords[n]) for n in emotions)
         except KeyError as exc:
             raise ConfigError(f"no circumplex coordinates for emotion {exc}") from None
         if high is None:
-            high_idx = tuple(
-                i for i, (_, arousal) in enumerate(table.coords) if arousal >= _AROUSAL_HIGH_CUTOFF
-            )
+            high_idx = tuple(i for i, (_, arousal) in enumerate(points) if arousal >= _AROUSAL_HIGH_CUTOFF)
         else:
-            high_idx = tuple(by_name[n] for n in high)
-        thresholds = build_threshold_matrix(tau0, scale, table, taxonomy)
-        return cls(taxonomy=taxonomy, table=table, thresholds=thresholds, high_intensity=high_idx)
+            high_idx = indices(high, "high")
+        return cls(taxonomy=taxonomy, coords=points, tau0=tau0, scale=scale, high_intensity=high_idx)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AffectSchema":
@@ -214,15 +177,34 @@ class AffectSchema:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"schema file has unknown fields: {sorted(unknown)}")
+        coords = json_object(raw.get("coords", DEFAULT_COORDS), "coords")
+        for name, point in coords.items():
+            if not (isinstance(point, (list, tuple)) and len(point) == 2 and all(map(_finite, point))):
+                raise ConfigError(f"'coords.{name}' must be two finite numbers, got {point!r}")
+        tau0, scale = raw.get("tau0", DEFAULT_TAU0), raw.get("scale", DEFAULT_SCALE)
+        for key, value in (("tau0", tau0), ("scale", scale)):
+            if not _finite(value):
+                raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+        high = raw.get("high")
         return cls.build(
-            emotions=raw.get("emotions", DEFAULT_EMOTIONS),
-            positive=raw.get("positive", ("joy", "love")),
-            negative=raw.get("negative", ("sadness", "anger", "fear")),
-            coords=raw.get("coords", DEFAULT_COORDS),
-            tau0=raw.get("tau0", DEFAULT_TAU0),
-            scale=raw.get("scale", DEFAULT_SCALE),
-            high=raw.get("high"),
+            emotions=string_list(raw.get("emotions", DEFAULT_EMOTIONS), "emotions"),
+            positive=string_list(raw.get("positive", ("joy", "love")), "positive"),
+            negative=string_list(raw.get("negative", ("sadness", "anger", "fear")), "negative"),
+            coords=coords,
+            tau0=tau0,
+            scale=scale,
+            high=None if high is None else string_list(high, "high"),
         )
+
+    def distance(self, i: int, j: int) -> float:
+        """Euclidean distance between two emotions' coordinates, over the largest pair distance."""
+        n = len(self.coords)
+        if not (0 <= i < n and 0 <= j < n):
+            raise SchemaError(f"emotion index pair ({i}, {j}) outside the coordinate table")
+        top = max((math.dist(self.coords[a], self.coords[b]) for a in range(n) for b in range(a + 1, n)), default=0.0)
+        if top == 0.0:
+            return 0.0
+        return math.dist(self.coords[i], self.coords[j]) / top
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -233,9 +215,9 @@ class AffectSchema:
             "emotions": list(self.taxonomy.emotions),
             "positive": [self.taxonomy.emotions[i] for i in self.taxonomy.positive],
             "negative": [self.taxonomy.emotions[i] for i in self.taxonomy.negative],
-            "coords": {name: list(self.table.coords[i]) for i, name in enumerate(self.taxonomy.emotions)},
-            "tau0": self.thresholds.tau0,
-            "scale": self.thresholds.scale,
+            "coords": {name: list(self.coords[i]) for i, name in enumerate(self.taxonomy.emotions)},
+            "tau0": self.tau0,
+            "scale": self.scale,
             "high": [self.taxonomy.emotions[i] for i in self.high_intensity],
         }
 

@@ -27,6 +27,7 @@ from .training import (
     Checkpoint,
     TrainConfig,
     accuracy,
+    check_seq_len,
     load_checkpoint,
     model_from_checkpoint,
     predict,
@@ -144,11 +145,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config must set paths.train")
     if not cfg.paths.get("output"):
         raise ConfigError("config must set paths.output")
-    if cfg.train.max_seq_len > cfg.encoder.max_positions:
-        raise ConfigError(
-            f"max_seq_len {cfg.train.max_seq_len} exceeds encoder "
-            f"max_positions {cfg.encoder.max_positions}"
-        )
+    check_seq_len(cfg.encoder, cfg.train)
     out_dir = Path(cfg.paths["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

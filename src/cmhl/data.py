@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .affect import AffectSchema
-from .errors import ConfigError, DataError, SchemaError, read_json_object
+from .errors import ConfigError, DataError, SchemaError, read_json_object, string_list
 
 CLS_TOKEN, PAD_TOKEN, UNK_TOKEN = "[CLS]", "[PAD]", "[UNK]"
 CLS_ID, PAD_ID, UNK_ID = 0, 1, 2
@@ -85,13 +85,11 @@ class MHLabelSchema:
             raise ConfigError(f"label schema has unknown fields: {sorted(unknown)}")
         raw = {**asdict(cls()), **raw}
         categories, field_name, levels = raw["categories"], raw["intensity_field"], raw["severity_levels"]
-        if not isinstance(categories, (list, tuple)) or not all(isinstance(c, str) for c in categories):
-            raise ConfigError(f"label schema 'categories' must be a list of strings, got {categories!r}")
         if not isinstance(field_name, str):
             raise ConfigError(f"label schema 'intensity_field' must be a string, got {field_name!r}")
         if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
             raise ConfigError(f"label schema 'severity_levels' must be a positive integer, got {levels!r}")
-        return cls(tuple(categories), field_name, levels)
+        return cls(tuple(string_list(categories, "categories")), field_name, levels)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -228,6 +226,9 @@ def _load(path, names, kind, make, skip_bad):
         text = str(obj.get("text", "")).strip()
         if not text:
             raise DataError("empty text")
+        split = obj.get("split")
+        if not (split is None or (isinstance(split, str) and split in _TRAIN_SPLITS | _VALIDATION_SPLITS)):
+            raise DataError(f"split {json.dumps(split)} is not null, \"train\" or one of {sorted(_VALIDATION_SPLITS)}")
         return make(obj, text, label_index(obj.get("label"), names, kind))
 
     examples, rejected = scan_jsonl(path, parse)

@@ -69,22 +69,10 @@ def _loss_suite(corrupt: bool) -> list[GradCheckRow]:
 
     # exclusivity hinge through the softmax that produces the probabilities
     logits = T.tensor(rng.normal(size=(2, 6)))
-    row(
-        "exclusivity_loss",
-        "logits",
-        lambda t: exclusivity_loss(T.softmax(t), schema.thresholds, schema.taxonomy),
-        logits,
-    )
+    row("exclusivity_loss", "logits", lambda t: exclusivity_loss(T.softmax(t), schema), logits)
 
     # composite objective
-    row(
-        "total_loss",
-        "h_cls",
-        lambda t: total_loss(
-            emotion_heads_forward(t, heads), labels, weights, schema.thresholds, schema.taxonomy
-        ),
-        h_cls,
-    )
+    row("total_loss", "h_cls", lambda t: total_loss(emotion_heads_forward(t, heads), labels, weights, schema), h_cls)
 
     # adaptive-weight objective, including the learnable weight itself
     mh = mh_head_params(5, d, rng, gate_dim=6)

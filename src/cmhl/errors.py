@@ -52,6 +52,13 @@ def json_object(value, key: str) -> dict:
     return value
 
 
+def string_list(value, key: str):
+    """``value`` if it is a list of strings; a ConfigError naming ``key`` otherwise."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def check_fields(cls: type, values, section: str) -> dict:
     """``values`` if it is an object of dataclass ``cls``'s fields, each of its type; else a ConfigError."""
     hints = typing.get_type_hints(cls)

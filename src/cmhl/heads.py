@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .affect import AffectSchema, EmotionTaxonomy, LossWeights, ThresholdMatrix
+from .affect import AffectSchema, LossWeights
 from .data import UNLABELED, Batch
 from .encoder import Encoder
 from .errors import DataError, ShapeError
@@ -62,27 +62,20 @@ def task_loss(preds: EmotionPrediction, labels: dict[str, np.ndarray], weights: 
     )
 
 
-def exclusivity_loss(p_e: T.Tensor, thresholds: ThresholdMatrix, taxonomy: EmotionTaxonomy) -> T.Tensor:
-    """Batch-mean hinge on opposing-pair probability sums above their thresholds; ``p_e`` is [batch, k]."""
+def exclusivity_loss(p_e: T.Tensor, schema: AffectSchema) -> T.Tensor:
+    """Batch-mean hinge on opposing-pair probability sums above ``schema.tau``; ``p_e`` is [batch, k]."""
     rows = p_e.shape[0]
-    pos_idx, neg_idx = taxonomy.positive, taxonomy.negative
-    tau = np.array([[thresholds.get(i, j) for j in neg_idx] for i in pos_idx])
+    pos_idx, neg_idx = schema.taxonomy.positive, schema.taxonomy.negative
     pos = T.gather(p_e, pos_idx, axis=-1).reshape(rows, len(pos_idx), 1)
     neg = T.gather(p_e, neg_idx, axis=-1).reshape(rows, 1, len(neg_idx))
-    hinged = T.relu(pos + neg - T.tensor(tau))
+    hinged = T.relu(pos + neg - T.tensor(schema.tau))
     return hinged.sum(axis=2).sum(axis=1).mean()
 
 
 def total_loss(
-    preds: EmotionPrediction,
-    labels: dict[str, np.ndarray],
-    weights: LossWeights,
-    thresholds: ThresholdMatrix,
-    taxonomy: EmotionTaxonomy,
+    preds: EmotionPrediction, labels: dict[str, np.ndarray], weights: LossWeights, schema: AffectSchema
 ) -> T.Tensor:
-    return task_loss(preds, labels, weights) + weights.lambda_excl * exclusivity_loss(
-        preds.p_e, thresholds, taxonomy
-    )
+    return task_loss(preds, labels, weights) + weights.lambda_excl * exclusivity_loss(preds.p_e, schema)
 
 
 class EmotionModel:
@@ -121,9 +114,7 @@ class EmotionModel:
         return emotion_heads_forward(self.encoder.forward(batch, training=training, rng=rng), self.heads)
 
     def loss(self, preds: EmotionPrediction, batch: Batch) -> T.Tensor:
-        return total_loss(
-            preds, batch.labels, self.weights, self.schema.thresholds, self.schema.taxonomy
-        )
+        return total_loss(preds, batch.labels, self.weights, self.schema)
 
     def primary_probs(self, preds: EmotionPrediction) -> T.Tensor:
         return preds.p_e

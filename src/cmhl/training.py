@@ -102,6 +102,12 @@ def combined_score(macro_f1: float, mean_confidence: float) -> float:
     return F1_WEIGHT * macro_f1 + CONFIDENCE_WEIGHT * mean_confidence
 
 
+def check_seq_len(encoder: EncoderConfig, train: TrainConfig) -> None:
+    """A ConfigError unless every padded batch fits the encoder's position table."""
+    if train.max_seq_len > encoder.max_positions:
+        raise ConfigError(f"max_seq_len {train.max_seq_len} exceeds encoder max_positions {encoder.max_positions}")
+
+
 @dataclass(frozen=True)
 class Metrics:
     macro_f1: float
@@ -133,10 +139,15 @@ def adamw_step(
     """One in-place update: decoupled weight decay, then bias-corrected moments.
 
     Each operation of the textbook update runs in its order through ``out=``
-    into one scratch pair sized to the largest parameter.
+    into one scratch pair sized to the largest parameter. A non-finite
+    learning rate or gradient raises before any parameter, moment or the
+    step count moves.
     """
     if not math.isfinite(lr_t):
         raise NumericError(f"non-finite learning rate {lr_t}")
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
@@ -144,8 +155,6 @@ def adamw_step(
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
         if decay:
             p *= 1.0 - lr_t * decay
         m = state["m"][name]
@@ -483,10 +492,13 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
                 raise DataError(f"tensor file {path}: {len(raw)} bytes of {entry['dtype']}, expected {expected} of <f8")
             tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         lw = manifest.get("loss_weights")
+        encoder_config = EncoderConfig(**check_fields(EncoderConfig, manifest["encoder"], "encoder"))
+        train_config = TrainConfig(**check_fields(TrainConfig, manifest["train"], "train"))
+        check_seq_len(encoder_config, train_config)
         return Checkpoint(
             task=manifest["task"],
-            encoder_config=EncoderConfig(**check_fields(EncoderConfig, manifest["encoder"], "encoder")),
-            train_config=TrainConfig(**check_fields(TrainConfig, manifest["train"], "train")),
+            encoder_config=encoder_config,
+            train_config=train_config,
             loss_weights=None if lw is None else LossWeights(**check_fields(LossWeights, lw, "loss_weights")),
             vocab=Vocabulary.from_jsonable(manifest["vocab"]),
             schema_json=manifest["schema"],

@@ -6,13 +6,14 @@ lines as they complete.
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cmhl import tensor as T
 from cmhl import training
-from cmhl.affect import LossWeights, ThresholdMatrix
+from cmhl.affect import LossWeights
 from cmhl.cli import EXIT_NUMERIC, EXIT_OK, main
 from cmhl.data import build_vocab, encode_batch, LabeledExample
 from cmhl.diagnostics import run_gradcheck
@@ -74,25 +75,23 @@ def test_c2_affect_label_derivation(default_schema):
 
 def test_c3_exclusivity_oracle(default_schema):
     taxonomy = default_schema.taxonomy
-    thresholds = default_schema.thresholds
+    pos_idx, neg_idx = taxonomy.positive, taxonomy.negative
     rng = np.random.default_rng(33)
     probs = rng.dirichlet(np.ones(6), size=1000)
 
-    vectorized = exclusivity_loss(T.tensor(probs), thresholds, taxonomy).item()
+    vectorized = exclusivity_loss(T.tensor(probs), default_schema).item()
     naive = 0.0
     for p in probs:
-        for i in taxonomy.positive:
-            for j in taxonomy.negative:
-                naive += max(0.0, p[i] + p[j] - thresholds.get(i, j))
+        for i in pos_idx:
+            for j in neg_idx:
+                naive += max(0.0, p[i] + p[j] - default_schema.tau[pos_idx.index(i), neg_idx.index(j)])
     naive /= len(probs)
     assert abs(vectorized - naive) < 1e-12
 
-    saturated = ThresholdMatrix(
-        tau0=0.99, scale=0.0,
-        tau={(i, j): 1.0 for i in taxonomy.positive for j in taxonomy.negative},
-    )
+    # a schema clamps every threshold below 1, so a stand-in carries tau = 1
+    saturated = SimpleNamespace(taxonomy=taxonomy, tau=np.ones((len(pos_idx), len(neg_idx))))
     for p in probs[:200]:
-        assert exclusivity_loss(T.tensor([p]), saturated, taxonomy).item() == 0.0
+        assert exclusivity_loss(T.tensor([p]), saturated).item() == 0.0
     report(3, f"vectorized vs naive oracle (|diff| = {abs(vectorized - naive):.2e}), simplex bound exact")
 
 

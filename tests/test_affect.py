@@ -1,8 +1,10 @@
 """Taxonomy derivations, circumplex distances, and threshold construction."""
 
+import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cmhl.affect import (
@@ -13,8 +15,6 @@ from cmhl.affect import (
     POSITIVE,
     AffectSchema,
     LossWeights,
-    ThresholdMatrix,
-    build_threshold_matrix,
 )
 from cmhl.data import label_index
 from cmhl.errors import ConfigError, SchemaError
@@ -62,85 +62,90 @@ class TestDerivations:
 class TestAffectiveDistance:
     def test_self_distance_zero(self, schema):
         for idx in range(len(schema.taxonomy)):
-            assert schema.table.distance(idx, idx) == 0.0
+            assert schema.distance(idx, idx) == 0.0
 
     def test_symmetry_and_range(self, schema):
         n = len(schema.taxonomy)
         for i in range(n):
             for j in range(n):
-                d = schema.table.distance(i, j)
-                assert d == schema.table.distance(j, i)
+                d = schema.distance(i, j)
+                assert d == schema.distance(j, i)
                 assert 0.0 <= d <= 1.0
 
     def test_maximizing_pair_reaches_one(self, schema):
         # brute-force oracle over all 15 unordered pairs of the default table
-        coords = schema.table.coords
+        coords = schema.coords
         n = len(coords)
         raw = {(i, j): math.dist(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)}
         best_pair = max(raw, key=raw.get)
-        assert schema.table.distance(*best_pair) == pytest.approx(1.0, abs=1e-15)
+        assert schema.distance(*best_pair) == pytest.approx(1.0, abs=1e-15)
         # every other pair is strictly below 1 in the default table
         for pair, dist in raw.items():
             if pair != best_pair:
-                assert schema.table.distance(*pair) < 1.0
+                assert schema.distance(*pair) < 1.0
 
     def test_zero_iff_identical_coordinates(self, schema):
-        coords = schema.table.coords
+        coords = schema.coords
         n = len(coords)
         for i in range(n):
             for j in range(n):
-                d = schema.table.distance(i, j)
+                d = schema.distance(i, j)
                 assert (d == 0.0) == (coords[i] == coords[j])
+
+
+def thresholds(schema, tau0, scale):
+    return dataclasses.replace(schema, tau0=tau0, scale=scale).tau
+
+
+def pair_tau(schema, tau, i, j):
+    """The threshold of the (positive i, negative j) pair in ``tau``."""
+    return tau[schema.taxonomy.positive.index(i), schema.taxonomy.negative.index(j)]
 
 
 class TestThresholdMatrix:
     def test_zero_scale_gives_constant(self, schema):
-        tm = build_threshold_matrix(0.7, 0.0, schema.table, schema.taxonomy)
-        assert set(tm.tau.values()) == {0.7}
+        tau = thresholds(schema, 0.7, 0.0)
+        assert set(tau.flat) == {0.7}
 
     def test_unit_distance_arithmetic(self, schema):
         # tau0 + scale * d at d = 1: 0.8 - 0.3 = 0.5
-        tm = build_threshold_matrix(0.8, -0.3, schema.table, schema.taxonomy)
-        coords = schema.table.coords
+        tau = thresholds(schema, 0.8, -0.3)
+        coords = schema.coords
         n = len(coords)
         raw = {(i, j): math.dist(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)}
         i, j = max(raw, key=raw.get)
-        if (i, j) not in tm.tau:
+        if i not in schema.taxonomy.positive:
             i, j = j, i
-        assert tm.get(i, j) == pytest.approx(0.5, abs=1e-12)
+        assert pair_tau(schema, tau, i, j) == pytest.approx(0.5, abs=1e-12)
 
     def test_default_range(self, schema):
-        tm = schema.thresholds
-        for value in tm.tau.values():
+        for value in schema.tau.flat:
             assert 0.5 <= value <= 0.8
             assert 0.0 < value < 1.0
 
     def test_covers_every_opposing_pair(self, schema):
         expected = {(i, j) for i in schema.taxonomy.positive for j in schema.taxonomy.negative}
-        assert set(schema.thresholds.tau) == expected
+        assert schema.tau.shape == (len(schema.taxonomy.positive), len(schema.taxonomy.negative))
+        assert schema.tau.size == len(expected)
         assert len(expected) == 6
 
     def test_negative_scale_non_increasing_in_distance(self, schema):
-        tm = build_threshold_matrix(0.8, -0.3, schema.table, schema.taxonomy)
-        pairs = sorted(tm.tau, key=lambda p: schema.table.distance(*p))
+        tau = thresholds(schema, 0.8, -0.3)
+        pairs = sorted(
+            ((i, j) for i in schema.taxonomy.positive for j in schema.taxonomy.negative),
+            key=lambda p: schema.distance(*p),
+        )
         for near, far in zip(pairs, pairs[1:]):
-            assert tm.get(*far) <= tm.get(*near) + 1e-12
+            assert pair_tau(schema, tau, *far) <= pair_tau(schema, tau, *near) + 1e-12
 
     def test_clamping(self, schema):
-        tm = build_threshold_matrix(0.06, -0.3, schema.table, schema.taxonomy)
-        assert min(tm.tau.values()) == pytest.approx(0.05)
-        tm = build_threshold_matrix(0.99, 0.3, schema.table, schema.taxonomy)
-        assert max(tm.tau.values()) == pytest.approx(0.99)
+        assert thresholds(schema, 0.06, -0.3).min() == pytest.approx(0.05)
+        assert thresholds(schema, 0.99, 0.3).max() == pytest.approx(0.99)
 
     def test_tau0_domain(self, schema):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ConfigError):
-                build_threshold_matrix(bad, 0.0, schema.table, schema.taxonomy)
-
-    def test_missing_pair_lookup(self):
-        tm = ThresholdMatrix(tau0=0.8, scale=0.0, tau={})
-        with pytest.raises(SchemaError):
-            tm.get(1, 0)
+                thresholds(schema, bad, 0.0)
 
 
 class TestSchemaConstruction:
@@ -151,8 +156,8 @@ class TestSchemaConstruction:
         path.write_text(json.dumps(schema.to_jsonable()))
         loaded = AffectSchema.from_json(path)
         assert loaded.taxonomy == schema.taxonomy
-        assert loaded.table == schema.table
-        assert loaded.thresholds.tau == schema.thresholds.tau
+        assert loaded.coords == schema.coords
+        assert np.array_equal(loaded.tau, schema.tau)
         assert loaded.high_intensity == schema.high_intensity
 
     def test_jsonable_round_trip(self, schema):

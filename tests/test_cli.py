@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cmhl
 import cmhl.cli
 import cmhl.training
+from cmhl.affect import DEFAULT_COORDS, DEFAULT_EMOTIONS, AffectSchema
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from cmhl.data import MHLabelSchema, load_corpus, split_examples
 from cmhl.training import (
@@ -54,6 +57,19 @@ def corpus(tmp_path, default_schema):
     examples = synthetic_emotion_examples(96, 3, default_schema)
     write_corpus_jsonl(tmp_path / "corpus.jsonl", examples, default_schema)
     return tmp_path / "corpus.jsonl"
+
+
+# JSON values of every type, nested up to two deep; strings and object keys
+# are often emotion names, so that some drawn schemas are valid.
+_NAMES = st.text(max_size=6) | st.sampled_from(DEFAULT_EMOTIONS)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _NAMES
+
+
+def _containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(_NAMES, children, max_size=4)
+
+
+JSON_VALUES = _SCALARS | _containers(_SCALARS | _containers(_SCALARS))
 
 
 class TestDeriveLabels:
@@ -122,6 +138,42 @@ class TestDeriveLabels:
         assert rc == EXIT_DATA
         assert "rejected line 1: label missing or malformed: True" in capsys.readouterr().err
 
+    def derive_with_schema(self, tmp_path, fields) -> int:
+        """Exit code of derive-labels on a one-line corpus (label index 0) with ``fields`` as the schema file."""
+        write_lines(tmp_path / "in.jsonl", [{"text": "x", "label": 0}])
+        (tmp_path / "schema.json").write_text(json.dumps(fields))
+        return main(["derive-labels", str(tmp_path / "in.jsonl"), "--schema", str(tmp_path / "schema.json"),
+                     "--output", str(tmp_path / "out.jsonl")])
+
+    @pytest.mark.parametrize(
+        "fields,key",
+        [
+            ({"tau0": "x"}, "'tau0'"),
+            ({"tau0": True}, "'tau0'"),
+            ({"scale": None}, "'scale'"),
+            ({"emotions": 5}, "'emotions'"),
+            ({"positive": "joy"}, "'positive'"),
+            ({"negative": ["fear", 3]}, "'negative'"),
+            ({"high": ["nope"]}, "'high'"),
+            ({"high": [1]}, "'high'"),
+            ({"coords": {**DEFAULT_COORDS, "joy": [1]}}, "'coords.joy'"),
+            ({"coords": {**DEFAULT_COORDS, "fear": ["a", 0.6]}}, "'coords.fear'"),
+            ({"coords": [0.1, 0.2]}, "'coords'"),
+        ],
+    )
+    def test_malformed_schema_field_names_key(self, tmp_path, capsys, fields, key):
+        assert self.derive_with_schema(tmp_path, fields) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(AffectSchema.default().to_jsonable())), value=JSON_VALUES)
+    def test_any_schema_value_exits_cleanly(self, tmp_path, capsys, key, value):
+        """Whatever one schema key holds, derive-labels succeeds or names a config error; it never raises."""
+        assert self.derive_with_schema(tmp_path, {key: value}) in (EXIT_OK, EXIT_CONFIG)
+        capsys.readouterr()
+
 
 class TestTrain:
     def test_writes_expected_artifacts(self, tmp_path, corpus):
@@ -183,6 +235,7 @@ class TestTrain:
             ({"train": {"validation_fraction": 1.0}}, "validation_fraction"),
             ({"train": {"validation_fraction": 1.5}}, "validation_fraction"),
             ({"train": {"dropout": 0.3}}, "'dropout'"),  # dropout is set in the encoder section
+            ({"train": {"max_seq_len": 32}}, "max_seq_len 32 exceeds encoder max_positions 16"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
@@ -203,6 +256,13 @@ class TestTrain:
         assert err.startswith("numeric failure:") and "Traceback" not in err
         assert "non-finite learning rate nan at epoch 2; last completed epoch: 1" in err
         assert not (tmp_path / "run" / "checkpoint" / "manifest.json").exists()
+
+    def test_list_split_value_is_data_error(self, tmp_path, corpus, capsys):
+        with open(corpus, "a") as handle:
+            handle.write(json.dumps({"text": "sudden gasp", "label": "surprise", "split": ["train"]}) + "\n")
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and 'line 97: split ["train"]' in err
 
     def test_config_not_an_object(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text("[1, 2]")
@@ -419,7 +479,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "corruption",
         ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
-         "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout"],
+         "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout",
+         "seq_len_past_positions"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -453,6 +514,7 @@ class TestEval:
                 "float_layers": ("encoder", "layers", 1.5, "'encoder.layers'"),
                 "negative_layers": ("encoder", "layers", -1, "encoder dimensions must be positive"),
                 "validation_fraction_one": ("train", "validation_fraction", 1.0, "validation_fraction"),
+                "seq_len_past_positions": ("train", "max_seq_len", 32, "max_seq_len 32 exceeds encoder max_positions 16"),
             }[corruption]
             manifest[section][key] = value
             manifest_path.write_text(json.dumps(manifest))

@@ -91,6 +91,19 @@ class TestLoadCorpus:
         assert len(examples) == 1
         assert rejected == [(1, "line is not a JSON object"), (2, "line is not a JSON object")]
 
+    @pytest.mark.parametrize("split", ["holdout", 7, ["train"], True])
+    def test_unknown_split_rejected(self, tmp_path, schema, split):
+        """A split other than null, "train" or a validation name is a rejected line, never silently dropped."""
+        rows = [{"text": "a", "label": "joy", "split": "train"}, {"text": "b", "label": "fear", "split": split},
+                {"text": "c", "label": "love", "split": "dev"}, {"text": "d", "label": "anger"}]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        examples, rejected = load_corpus(path, schema, skip_bad=True)
+        assert [ex.text for ex in examples] == ["a", "c", "d"]
+        assert [n for n, _ in rejected] == [2] and json.dumps(split) in rejected[0][1]
+        with pytest.raises(DataError, match="line 2: split"):
+            load_corpus(path, schema)
+
     def test_count_accounting(self, tmp_path, schema):
         rows = [{"text": "x", "label": "joy"}, {"text": "y", "label": "nope"}, {"text": "z", "label": "fear"}]
         path = tmp_path / "c.jsonl"

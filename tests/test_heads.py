@@ -1,12 +1,14 @@
 """Emotion heads and the composite objective: values, properties, gradients."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cmhl import tensor as T
-from cmhl.affect import AffectSchema, LossWeights, ThresholdMatrix
+from cmhl.affect import AffectSchema, LossWeights
 from cmhl.data import LabeledExample, build_vocab, encode_batch
 from cmhl.encoder import EncoderConfig
 from cmhl.errors import DataError
@@ -35,19 +37,17 @@ def zero_heads(num_emotions=6, hidden=4):
 
 
 def uniform_tau(schema, value):
-    return ThresholdMatrix(
-        tau0=value,
-        scale=0.0,
-        tau={(i, j): value for i in schema.taxonomy.positive for j in schema.taxonomy.negative},
-    )
+    """The schema with every opposing-pair threshold at ``value``: a zero scale leaves tau0 alone."""
+    return dataclasses.replace(schema, tau0=value, scale=0.0)
 
 
-def naive_exclusivity(p, tau, taxonomy):
+def naive_exclusivity(p, schema):
     """Double-loop oracle for a single probability vector."""
+    pos_idx, neg_idx = schema.taxonomy.positive, schema.taxonomy.negative
     total = 0.0
-    for i in taxonomy.positive:
-        for j in taxonomy.negative:
-            total += max(0.0, p[i] + p[j] - tau.get(i, j))
+    for i in pos_idx:
+        for j in neg_idx:
+            total += max(0.0, p[i] + p[j] - schema.tau[pos_idx.index(i), neg_idx.index(j)])
     return total
 
 
@@ -133,30 +133,30 @@ class TestExclusivityLoss:
     def test_uniform_probs_below_threshold(self, schema):
         p = T.tensor([[1 / 6] * 6])
         tau = uniform_tau(schema, 0.34)
-        assert exclusivity_loss(p, tau, schema.taxonomy).item() == pytest.approx(0.0, abs=1e-15)
+        assert exclusivity_loss(p, tau).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_one_hot_joy_uniform_tau(self, schema):
         p = np.zeros(6)
         p[schema.names.index("joy")] = 1.0
         tau = uniform_tau(schema, 0.8)
-        loss = exclusivity_loss(T.tensor([p]), tau, schema.taxonomy)
+        loss = exclusivity_loss(T.tensor([p]), tau)
         # three joy-negative pairs active at 0.2 each; love pairs contribute 0
         assert loss.item() == pytest.approx(0.6, abs=1e-12)
-        assert loss.item() == pytest.approx(naive_exclusivity(p, tau, schema.taxonomy), abs=1e-15)
+        assert loss.item() == pytest.approx(naive_exclusivity(p, tau), abs=1e-15)
 
     def test_simplex_bound_with_tau_at_least_one(self, schema):
         rng = np.random.default_rng(5)
-        tau = uniform_tau(schema, 1.0)
+        # a schema clamps every threshold below 1, so a stand-in carries tau = 1
+        tau = SimpleNamespace(taxonomy=schema.taxonomy, tau=np.ones(schema.tau.shape))
         for _ in range(100):
             p = rng.dirichlet(np.ones(6))
-            assert exclusivity_loss(T.tensor([p]), tau, schema.taxonomy).item() == 0.0
+            assert exclusivity_loss(T.tensor([p]), tau).item() == 0.0
 
     def test_vectorized_matches_naive_oracle(self, schema):
         rng = np.random.default_rng(9)
-        tau = schema.thresholds
         probs = rng.dirichlet(np.ones(6), size=1000)
-        vectorized = exclusivity_loss(T.tensor(probs), tau, schema.taxonomy).item()
-        oracle = np.mean([naive_exclusivity(p, tau, schema.taxonomy) for p in probs])
+        vectorized = exclusivity_loss(T.tensor(probs), schema).item()
+        oracle = np.mean([naive_exclusivity(p, schema) for p in probs])
         assert vectorized == pytest.approx(oracle, abs=1e-12)
 
     def test_batch_mean_semantics(self, schema):
@@ -164,9 +164,9 @@ class TestExclusivityLoss:
         p1 = np.zeros(6)
         p1[schema.names.index("joy")] = 1.0
         p2 = np.full(6, 1 / 6)
-        single = exclusivity_loss(T.tensor([p1]), tau, schema.taxonomy).item()
-        batch = exclusivity_loss(T.tensor(np.stack([p1, p2])), tau, schema.taxonomy).item()
-        expected = (single + naive_exclusivity(p2, tau, schema.taxonomy)) / 2
+        single = exclusivity_loss(T.tensor([p1]), tau).item()
+        batch = exclusivity_loss(T.tensor(np.stack([p1, p2])), tau).item()
+        expected = (single + naive_exclusivity(p2, tau)) / 2
         assert batch == pytest.approx(expected, abs=1e-12)
 
     def test_hinge_monotone_in_pair_mass(self, schema):
@@ -180,7 +180,7 @@ class TestExclusivityLoss:
             p[joy] += bump
             p[anger] += bump
             p[schema.names.index("surprise")] -= 2 * bump
-            value = exclusivity_loss(T.tensor([p]), tau, schema.taxonomy).item()
+            value = exclusivity_loss(T.tensor([p]), tau).item()
             assert value >= prev - 1e-12
             prev = value
 
@@ -188,21 +188,14 @@ class TestExclusivityLoss:
         rng = np.random.default_rng(13)
         for _ in range(50):
             p = rng.dirichlet(np.ones(6))
-            assert exclusivity_loss(T.tensor([p]), schema.thresholds, schema.taxonomy).item() >= 0.0
-
-    def test_missing_pair_raises_schema_error(self, schema):
-        from cmhl.errors import SchemaError
-
-        incomplete = ThresholdMatrix(tau0=0.8, scale=0.0, tau={})
-        with pytest.raises(SchemaError):
-            exclusivity_loss(T.tensor([[1 / 6] * 6]), incomplete, schema.taxonomy)
+            assert exclusivity_loss(T.tensor([p]), schema).item() >= 0.0
 
 
 class TestTotalLoss:
     def test_lambda_zero_equals_task(self, schema):
         preds = preds_with_losses(1.0, 0.5, 0.2)
         weights = LossWeights(lambda_excl=0.0)
-        total = total_loss(preds, LABELS_ROW, weights, schema.thresholds, schema.taxonomy)
+        total = total_loss(preds, LABELS_ROW, weights, schema)
         task = task_loss(preds, LABELS_ROW, weights)
         assert total.item() == pytest.approx(task.item(), abs=1e-15)
 
@@ -219,7 +212,7 @@ class TestTotalLoss:
             "intensity": np.array([0]),
         }
         tau = uniform_tau(schema, 0.8)
-        value = total_loss(preds, labels, LossWeights(), tau, schema.taxonomy).item()
+        value = total_loss(preds, labels, LossWeights(), tau).item()
         ce_e = -math.log(1.0)
         expected = ce_e + 0.3 * 0.5 + 0.2 * 0.2 + 0.4 * 0.6
         assert value == pytest.approx(expected, abs=1e-12)
@@ -248,9 +241,7 @@ class TestTotalLoss:
         lam = model.weights.lambda_excl
         g_total = grads_for(lambda p: model.loss(p, batch))
         g_task = grads_for(lambda p: task_loss(p, batch.labels, model.weights))
-        g_excl = grads_for(
-            lambda p: exclusivity_loss(p.p_e, schema.thresholds, schema.taxonomy)
-        )
+        g_excl = grads_for(lambda p: exclusivity_loss(p.p_e, schema))
         for name in g_total:
             np.testing.assert_allclose(
                 g_total[name], g_task[name] + lam * g_excl[name], atol=1e-12, err_msg=name

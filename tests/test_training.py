@@ -74,6 +74,16 @@ class TestAdamW:
             assert np.all(state["m"][k] == 0.01) and np.all(state["v"][k] == 0.02), k
         assert state["step"] == 3
 
+    def test_nonfinite_gradient_rejected_before_any_parameter_moves(self):
+        """A NaN gradient for a later parameter leaves the earlier one, its moments and the step count alone."""
+        params = {"a": np.array(1.0), "b": np.array(2.0)}
+        state = {"step": 0, "m": {k: np.zeros(()) for k in params}, "v": {k: np.zeros(()) for k in params}}
+        with pytest.raises(NumericError, match="'b'"):
+            adamw_step(params, {"a": np.array(0.5), "b": np.array(np.nan)}, state, lr_t=1e-3, decay=0.01)
+        assert params["a"] == 1.0 and params["b"] == 2.0
+        assert state["m"]["a"] == 0.0 and state["v"]["a"] == 0.0
+        assert state["step"] == 0
+
     def test_wrapper_consumes_tensor_grads(self):
         t = T.tensor(1.0, requires_grad=True)
         opt = AdamW({"w": t}, weight_decay=0.0)
