@@ -210,9 +210,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    task = TASKS[ckpt.task]
-    schema = task.schema_type.from_jsonable(ckpt.schema_json)
-    examples = task.load(args.corpus, schema)
+    examples = TASKS[ckpt.task].load(args.corpus, ckpt.schema)
 
     y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)
     payload = score(model, examples, y_pred, confs).to_jsonable()
@@ -226,7 +224,7 @@ def cmd_eval(args) -> int:
             writer = csv.writer(handle)
             writer.writerow(["index", "true_label", "predicted_label", "confidence"])
             for i, (ex, pred, conf) in enumerate(zip(examples, y_pred, confs)):
-                writer.writerow([i, schema.names[ex.emotion], schema.names[pred], f"{conf:.10f}"])
+                writer.writerow([i, ckpt.schema.names[ex.emotion], ckpt.schema.names[pred], f"{conf:.10f}"])
     return EXIT_OK
 
 

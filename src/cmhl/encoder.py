@@ -101,7 +101,7 @@ class Encoder:
             ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
             x = x + T.dropout(ffn_out, cfg.dropout, rng, training)
 
-            if not np.all(np.isfinite(x.data)):
+            if not np.isfinite(x.data).all():
                 raise NumericError(f"non-finite activations after encoder layer {i}")
         return T.gather(x, 0, axis=1)
 

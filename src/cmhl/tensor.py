@@ -4,11 +4,12 @@ The primitive set is exactly what the model needs: matmul, the fused affine
 map ``linear`` (``x @ w + b``), fused multi-head ``attention``, add,
 elementwise product, reductions, reshaping, ``gather`` (the one read by
 integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
-layer norm, dropout, concatenation, and cross-entropy of logits. Every primitive
-carries its own backward closure; gradients accumulate into leaves' ``.grad``
-so micro-batch accumulation works without extra bookkeeping. ``backward``
-consumes the graph it walks, freeing each interior node as soon as it has
-propagated, and inside ``no_grad()`` no graph is recorded at all.
+layer norm, dropout, concatenation, and cross-entropy of logits. NumPy is the
+only dependency: GELU's erf is Cephes' (Moshier, 1989), in blocked NumPy passes.
+Every primitive carries its own backward closure; gradients accumulate into
+leaves' ``.grad`` so micro-batch accumulation works without extra bookkeeping.
+``backward`` consumes the graph it walks, freeing each interior node as soon as
+it has propagated, and inside ``no_grad()`` no graph is recorded at all.
 
 A node's first gradient contribution becomes its ``.grad`` unfilled: an
 array its backward closure has just computed is adopted, and a view of the
@@ -25,7 +26,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, DataError, DeterminismError, NumericError, ShapeError
 
@@ -308,7 +308,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
     probs += mask_add.reshape(batch, 1, 1, n)
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise NumericError("softmax received non-finite logits")
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -386,9 +386,50 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+# Cephes' erf (Moshier, 1989): x T(x^2) / U(x^2) for |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|))
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051, 55592.30130103949)
+_ERF_U = (33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359)
+_ERF_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+          526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_ERF_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055, 1823.9091668790973,
+          2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+_ERF_BLOCK = 1 << 15  # elements; the five 256 KiB arrays of a block fit a 2 MiB L2 cache together
+
+
+def _horner(z: np.ndarray, coefs: tuple, monic: bool) -> np.ndarray:
+    """Horner's scheme at ``z``: ``coefs`` from the highest degree down, after a leading 1 if ``monic`` (U, Q)."""
+    out = z + coefs[0] if monic else z * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array within 3 ulp; exactly +-1 from |x| = 6 on, where 1 - erfc(x) rounds to 1."""
+    flat = x.reshape(-1)
+    res = np.empty(flat.size)
+    # the |x| <= 1 branch may overflow where its result is replaced; a tiny x underflows, rightly
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, flat.size, _ERF_BLOCK):
+            xb, yb = flat[lo:lo + _ERF_BLOCK], res[lo:lo + _ERF_BLOCK]
+            z = xb * xb
+            (big,) = np.nonzero(z > 1.0)  # indices, which gather and scatter far faster than a mask
+            np.minimum(z, 1.0, out=z)
+            np.multiply(xb, _horner(z, _ERF_T, False), out=yb)
+            yb /= _horner(z, _ERF_U, True)
+            if big.size:
+                xv = xb[big]
+                a = np.minimum(np.abs(xv), 6.0)
+                e = np.exp(-(a * a)) * _horner(a, _ERF_P, False)
+                e /= _horner(a, _ERF_Q, True)
+                yb[big] = np.copysign(np.subtract(1.0, e, out=e), xv, out=e)
+    return res.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact GELU, x * Phi(x), with Phi(x) = (1 + erf(x / sqrt(2))) / 2 from the owned Cephes ``_erf``."""
+    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
     out = _node(x.data * cdf, (x,), "gelu")
     if out.requires_grad:
 
@@ -414,7 +455,7 @@ def softplus(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Row-wise softmax with max-subtraction for overflow safety."""
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NumericError("softmax received non-finite logits")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
@@ -432,10 +473,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    n = x.data.shape[-1]  # the reductions np.mean and np.var run, without their Python wrappers
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * istd
+    xhat = xc * istd
     out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
     if out.requires_grad:
 

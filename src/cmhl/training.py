@@ -440,6 +440,8 @@ def train(
 
 @dataclass
 class Checkpoint:
+    """A saved model; ``schema`` is ``schema_json`` parsed by ``task``'s schema type on creation."""
+
     task: str
     encoder_config: EncoderConfig
     train_config: TrainConfig
@@ -449,6 +451,12 @@ class Checkpoint:
     epoch: int
     metrics: Metrics | None
     tensors: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    schema: AffectSchema | MHLabelSchema = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
+        self.schema = TASKS[self.task].schema_type.from_jsonable(self.schema_json)
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
@@ -508,7 +516,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         )
     except KeyError as exc:
         raise DataError(f"{manifest_path}: missing key {exc}") from None
-    except (TypeError, ConfigError) as exc:  # a value of the wrong JSON type, a config value of the wrong type or range
+    except (TypeError, ConfigError) as exc:  # a wrong JSON type; a config or schema value of the wrong type or range
         raise DataError(f"{manifest_path}: malformed value: {exc}") from None
 
 
@@ -550,11 +558,8 @@ TASKS = {
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model named by the checkpoint and load its tensors."""
-    if ckpt.task not in TASKS:
-        raise DataError(f"unknown checkpoint task {ckpt.task!r}")
-    task = TASKS[ckpt.task]
-    schema = task.schema_type.from_jsonable(ckpt.schema_json)
-    model = task.build(ckpt.encoder_config, len(ckpt.vocab), schema, ckpt.loss_weights or LossWeights(), 0)
+    weights = ckpt.loss_weights or LossWeights()
+    model = TASKS[ckpt.task].build(ckpt.encoder_config, len(ckpt.vocab), ckpt.schema, weights, 0)
 
     params = model.parameters()
     missing = set(params) ^ set(ckpt.tensors)

@@ -480,7 +480,7 @@ class TestEval:
         "corruption",
         ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
          "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout",
-         "seq_len_past_positions"],
+         "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -508,6 +508,15 @@ class TestEval:
             manifest["train"]["dropout"] = 0.1
             manifest_path.write_text(json.dumps(manifest))
             offender = "'dropout'"
+        elif corruption.startswith("schema_"):  # parsed inside the manifest's error mapping, not as a config error
+            key, value = {"schema_tau0_string": ("tau0", "x"), "schema_emotions_int": ("emotions", 3)}[corruption]
+            manifest["schema"][key] = value
+            manifest_path.write_text(json.dumps(manifest))
+            offender = f"manifest.json: malformed value: {key!r}"
+        elif corruption == "unknown_task":
+            manifest["task"] = "bogus"
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "manifest.json: malformed value: task must be one of ('emotion', 'mental_health'), got 'bogus'"
         else:  # a config field of the wrong type or range
             section, key, value, offender = {
                 "float_batch_size": ("train", "batch_size", 2.5, "'train.batch_size'"),

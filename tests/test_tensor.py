@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -589,6 +590,71 @@ class TestPrimitiveGradients:
         x = T.tensor(self.rng.normal(size=(2, 6)), requires_grad=True)
         w = self.rng.normal(size=(3, 2, 2))
         _check(lambda t: (t.reshape(2, 3, 2).swapaxes(0, 1) * T.tensor(w)).sum(), x)
+
+
+class TestErf:
+    """The owned Cephes erf behind ``T.gelu``, checked against ``math.erf``."""
+
+    rng = np.random.default_rng(7)
+
+    @staticmethod
+    def reference(x):
+        return np.array([math.erf(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+    @pytest.mark.parametrize("scale", [None, 0.3, 1.0, 2.0, 5.0])
+    def test_within_3_ulp_of_math_erf(self, scale):
+        x = np.linspace(-7.0, 7.0, 28001) if scale is None else self.rng.normal(0.0, scale, 20000)
+        want = self.reference(x)
+        ulps = np.abs(T._erf(x) - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 3.0
+
+    def test_exact_values_without_warnings(self):
+        one = float.fromhex("0x1.af767a741088ap-1")  # Cephes' erf(1); math.erf(1) is one ulp above
+        cases = [  # a list, since 0.0 and -0.0 are one dict key
+            (0.0, 0.0), (-0.0, -0.0), (1.0, one), (-1.0, -one),
+            (float(np.nextafter(1.0, 2.0)), float.fromhex("0x1.af767a741088cp-1")),
+            (float(np.nextafter(1.0, 0.0)), one),
+            (6.0, 1.0), (-6.0, -1.0), (8.0, 1.0), (-8.0, -1.0), (1e300, 1.0), (-1e300, -1.0),
+            (math.inf, 1.0), (-math.inf, -1.0),
+            (1e-310, math.erf(1e-310)),  # subnormal in and out
+        ]
+        x = np.array([v for v, _ in cases] + [math.nan])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T._erf(x)
+        assert [v.hex() for v in got[:-1].tolist()] == [want.hex() for _, want in cases]
+        assert math.isnan(got[-1])
+
+    def test_odd_bitwise(self):
+        x = np.concatenate([self.rng.normal(0.0, 3.0, 5000), [0.0, 1.0, 6.0, 1e300, math.inf]])
+        assert T._erf(-x).tobytes() == (-T._erf(x)).tobytes()
+
+    def test_independent_of_blocks(self):
+        """An array longer than one block equals its two halves computed apart; the shape is kept."""
+        x = self.rng.normal(0.0, 2.0, (3, T._ERF_BLOCK))
+        half = x.size // 2 + 5  # off any block boundary
+        flat = x.reshape(-1)
+        got = T._erf(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == np.concatenate([T._erf(flat[:half]), T._erf(flat[half:])]).tobytes()
+
+    def test_gelu_forward_matches_math_erf(self):
+        """Within 1e-15 relative to |x|: for x far below 0, 1 + erf cancels, so both keep only erf's absolute error."""
+        x = np.concatenate([np.linspace(-8.0, 8.0, 4001), self.rng.normal(0.0, 2.0, 4000)])
+        want = x * 0.5 * (1.0 + self.reference(x / math.sqrt(2.0)))
+        got = T.gelu(T.tensor(x)).data
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x))
+
+
+class TestLayerNormReference:
+    def test_forward_equals_mean_var_formula(self):
+        """The direct reductions give bit for bit what ``np.mean`` and ``np.var`` give."""
+        rng = np.random.default_rng(3)
+        x, gain, bias = rng.normal(2.0, 3.0, (4, 5, 24)), rng.normal(1.0, 0.1, 24), rng.normal(size=24)
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(var + T.LAYERNORM_EPS)) * gain + bias
+        got = T.layer_norm(T.tensor(x), T.tensor(gain), T.tensor(bias)).data
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGather:

@@ -1,12 +1,16 @@
 """Repository checks: the benchmark harness's self-test still runs against
-the package, and every definition in the package has a user."""
+the package, every definition in the package has a user, and NumPy is the
+package's only dependency."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +45,18 @@ def test_no_uncalled_definitions():
         if sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in sources) <= count
     )
     assert unused == [], f"defined in src/cmhl but used nowhere in src/ or perfbench/: {unused}"
+
+
+def test_import_loads_no_scipy():
+    """``import cmhl.cli`` (every module of the package) loads no SciPy module."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, cmhl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]] == ["numpy"]
