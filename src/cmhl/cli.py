@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .affect import INTENSITY_LABELS, VALENCE_LABELS, AffectSchema, LossWeights
-from .data import build_vocab, default_lexicon, label_index, load_synonyms, scan_jsonl, split_examples
+from .data import build_vocab, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericError, check_fields, json_object, read_json_object
@@ -161,9 +161,8 @@ def cmd_train(args) -> int:
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
     model = task.build(cfg.encoder, len(vocab), schema, cfg.loss_weights, cfg.seed)
 
-    lexicon = None
-    if cfg.train.augment:
-        lexicon = load_synonyms(cfg.paths["lexicon"]) if cfg.paths.get("lexicon") else default_lexicon()
+    lexicon_path = cfg.paths.get("lexicon")
+    lexicon = load_synonyms(lexicon_path) if cfg.train.augment and lexicon_path else None
 
     started = time.time()
     result = train(model, vocab, train_examples, cfg.train, validation=val_examples, lexicon=lexicon)

@@ -28,6 +28,7 @@ from .data import (
     Vocabulary,
     augment,
     augmentation_rng,
+    default_lexicon,
     encode_batch,
     load_corpus,
     load_mh_corpus,
@@ -127,74 +128,53 @@ class Metrics:
 # -- optimizer -----------------------------------------------------------------
 
 
-def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: dict,
-    lr_t: float,
-    decay: float,
-    betas: tuple[float, float] = ADAM_BETAS,
-    eps: float = ADAM_EPS,
-) -> None:
-    """One in-place update: decoupled weight decay, then bias-corrected moments.
-
-    Each operation of the textbook update runs in its order through ``out=``
-    into one scratch pair sized to the largest parameter. A non-finite
-    learning rate or gradient raises before any parameter, moment or the
-    step count moves.
-    """
-    if not math.isfinite(lr_t):
-        raise NumericError(f"non-finite learning rate {lr_t}")
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-    b1, b2 = betas
-    state["step"] += 1
-    t = state["step"]
-    size = max((p.size for p in params.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
-    for name, p in params.items():
-        g = grads[name]
-        if decay:
-            p *= 1.0 - lr_t * decay
-        m = state["m"][name]
-        v = state["v"][name]
-        a = scratch_a[: p.size].reshape(p.shape)
-        b = scratch_b[: p.size].reshape(p.shape)
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=a)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - b1**t, out=a)  # m_hat, then lr_t * m_hat / (sqrt(v_hat) + eps)
-        np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
-        b += eps
-        a *= lr_t
-        p -= np.divide(a, b, out=a)
-
-
 class AdamW:
+    """AdamW over named tensors: decoupled weight decay, then bias-corrected moments.
+
+    ``step(lr_t)`` updates every parameter in place from its ``.grad`` (none
+    counts as zero). Each operation of the textbook update runs in its order
+    through ``out=`` into one scratch pair sized to the largest parameter,
+    allocated per step so it is not resident through the forward pass. A
+    non-finite learning rate or gradient raises before any parameter, moment
+    or the step count moves.
+    """
+
     def __init__(self, params: dict[str, T.Tensor], weight_decay: float):
         self.params = params
         self.weight_decay = weight_decay
-        self.state = {
-            "step": 0,
-            "m": {k: np.zeros_like(v.data) for k, v in params.items()},
-            "v": {k: np.zeros_like(v.data) for k, v in params.items()},
-        }
+        self.steps = 0
+        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self, lr_t: float) -> None:
-        grads = {
-            k: (v.grad if v.grad is not None else np.zeros_like(v.data))
-            for k, v in self.params.items()
-        }
-        adamw_step(
-            {k: v.data for k, v in self.params.items()},
-            grads,
-            self.state,
-            lr_t,
-            self.weight_decay,
-        )
+        if not math.isfinite(lr_t):
+            raise NumericError(f"non-finite learning rate {lr_t}")
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+        b1, b2 = ADAM_BETAS
+        self.steps += 1
+        t = self.steps
+        size = max((p.data.size for p in self.params.values()), default=0)
+        scratch_a, scratch_b = np.empty(size), np.empty(size)
+        for name, p in self.params.items():
+            w = p.data
+            g = p.grad if p.grad is not None else np.zeros_like(w)
+            if self.weight_decay:
+                w *= 1.0 - lr_t * self.weight_decay
+            m, v = self.m[name], self.v[name]
+            a = scratch_a[: w.size].reshape(w.shape)
+            b = scratch_b[: w.size].reshape(w.shape)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=a)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1.0 - b1**t, out=a)  # m_hat, then lr_t * m_hat / (sqrt(v_hat) + eps)
+            np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
+            b += ADAM_EPS
+            a *= lr_t
+            w -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
         for v in self.params.values():
@@ -339,8 +319,12 @@ def train(
 
     The corpus is split deterministically by seed unless ``validation`` is
     given or the corpus carries split fields. Micro-batch losses within an
-    accumulation group are averaged before the optimizer steps.
+    accumulation group are averaged before the optimizer steps. ``config.augment``
+    alone decides augmentation; synonyms come from ``lexicon``, or from the
+    bundled default lexicon when it is None.
     """
+    if config.augment and lexicon is None:
+        lexicon = default_lexicon()
     if validation is not None:
         train_examples = [ex for ex in corpus if ex.is_train]
         val_examples = validation
@@ -382,7 +366,7 @@ def train(
                 for micro_idx in group:
                     sel = order[micro_idx * config.batch_size : (micro_idx + 1) * config.batch_size]
                     chunk = [train_examples[i] for i in sel]
-                    if config.augment and lexicon:
+                    if config.augment:
                         chunk = [
                             augment(
                                 ex,

@@ -194,7 +194,7 @@ class TestMhLoss:
         def fn(beta_raw):
             return mh_loss(z_final, z_s, np.array([0]), np.array([0]), heads)
 
-        err = T.finite_diff_check(fn, heads["mh.beta_raw"], eps=1e-5)
+        err = T.finite_diff_check(fn, heads["mh.beta_raw"])
         assert err < 1e-4
 
 

@@ -311,7 +311,7 @@ def _unfused_attention(q, k, v, mask_add, heads):
         return t.reshape(batch, n, heads, dk).swapaxes(1, 2)
 
     scores = T.matmul(split(q), split(k).swapaxes(-1, -2)) * (1.0 / np.sqrt(dk))
-    probs = T.softmax(scores + T.tensor(mask_add.reshape(batch, 1, 1, n)), axis=-1)
+    probs = T.softmax(scores + T.tensor(mask_add.reshape(batch, 1, 1, n)))
     return T.matmul(probs, split(v)).swapaxes(1, 2).reshape(batch, n, d)
 
 
@@ -464,12 +464,8 @@ class TestComputationRecord:
 
 class TestFiniteDiffCheck:
     def test_square_function(self):
-        err = T.finite_diff_check(lambda t: t * t, T.tensor(3.0), eps=1e-5)
+        err = T.finite_diff_check(lambda t: t * t, T.tensor(3.0))
         assert err < 1e-8
-
-    def test_eps_range_enforced(self):
-        with pytest.raises(Exception):
-            T.finite_diff_check(lambda t: t * t, T.tensor(1.0), eps=1e-2)
 
     def test_nondeterministic_fn_detected(self):
         rng = np.random.default_rng(0)
@@ -486,7 +482,7 @@ class TestFiniteDiffCheck:
 
 
 def _check(fn, point, tol=1e-4):
-    err = T.finite_diff_check(fn, point, eps=1e-5)
+    err = T.finite_diff_check(fn, point)
     assert err < tol, f"finite-difference error {err:.3e}"
 
 
@@ -570,7 +566,7 @@ class TestPrimitiveGradients:
         a = T.tensor(self.rng.normal(size=(2, 3)), requires_grad=True)
         b = self.rng.normal(size=(2, 2))
         w = self.rng.normal(size=(2, 5))
-        _check(lambda t: (T.concat([t, T.tensor(b)], axis=-1) * T.tensor(w)).sum(), a)
+        _check(lambda t: (T.concat([t, T.tensor(b)]) * T.tensor(w)).sum(), a)
 
     def test_gather(self):
         x = T.tensor(self.rng.normal(size=(3, 6)), requires_grad=True)

@@ -1,6 +1,7 @@
 """Repository checks: the benchmark harness's self-test still runs against
-the package, every definition in the package has a user, and NumPy is the
-package's only dependency."""
+the package, every definition in the package has a user, NumPy is the
+package's only dependency, and every third-party module the tests import is
+declared."""
 
 import ast
 import os
@@ -60,3 +61,23 @@ def test_numpy_is_the_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_test_imports_are_declared():
+    """Every third-party module imported by ``tests/*.py`` (not stdlib, not
+    ``cmhl``, not ``conftest``) is a runtime dependency or in the ``test``
+    extra, so ``pip install -e .[test]`` can collect every test module. Each
+    such module's import name is its distribution name."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0].lower()
+                for dep in project["dependencies"] + project["optional-dependencies"]["test"]}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cmhl", "conftest"}
+    assert sorted(third_party - declared) == []

@@ -9,7 +9,7 @@ import pytest
 from cmhl import tensor as T
 from cmhl import training
 from cmhl.affect import LossWeights
-from cmhl.data import LabeledExample, build_vocab, encode_batch, tokenize
+from cmhl.data import LabeledExample, augment, build_vocab, default_lexicon, encode_batch, tokenize
 from cmhl.encoder import EncoderConfig
 from cmhl.errors import ConfigError, DataError, NumericError
 from cmhl.heads import EmotionModel
@@ -18,7 +18,6 @@ from cmhl.training import (
     Checkpoint,
     Metrics,
     TrainConfig,
-    adamw_step,
     combined_score,
     evaluate,
     load_checkpoint,
@@ -34,55 +33,67 @@ from cmhl.training import (
 from conftest import long_tail_model, mixed_length_examples, synthetic_emotion_examples
 
 
-def scalar_state():
-    return {"step": 0, "m": {"x": np.zeros(())}, "v": {"x": np.zeros(())}}
+def optimizer(values: dict, grads: dict, decay: float = 0.0) -> AdamW:
+    """AdamW over fresh tensors holding ``values``, each with its ``.grad`` from ``grads`` (None: no gradient)."""
+    params = {k: T.tensor(np.array(v, dtype=np.float64), requires_grad=True) for k, v in values.items()}
+    for k, g in grads.items():
+        params[k].grad = None if g is None else np.array(g, dtype=np.float64)
+    return AdamW(params, weight_decay=decay)
 
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_leaves_params(self):
-        p = {"x": np.array(1.5)}
-        adamw_step(p, {"x": np.zeros(())}, scalar_state(), lr_t=1e-3, decay=0.0)
-        assert p["x"] == pytest.approx(1.5)
+        opt = optimizer({"x": 1.5}, {"x": 0.0})
+        opt.step(1e-3)
+        assert opt.params["x"].item() == pytest.approx(1.5)
 
     def test_first_step_magnitude_matches_lr(self):
-        p = {"x": np.array(0.0)}
-        adamw_step(p, {"x": np.array(1.0)}, scalar_state(), lr_t=1e-3, decay=0.0)
+        opt = optimizer({"x": 0.0}, {"x": 1.0})
+        opt.step(1e-3)
         # bias-corrected m_hat / sqrt(v_hat) equals 1 on the first step
-        assert abs(p["x"]) == pytest.approx(1e-3, rel=1e-6)
+        assert abs(opt.params["x"].item()) == pytest.approx(1e-3, rel=1e-6)
 
     def test_decoupled_decay_pure_shrink(self):
-        p = {"x": np.array(2.0)}
-        adamw_step(p, {"x": np.zeros(())}, scalar_state(), lr_t=0.1, decay=0.5)
-        assert p["x"] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+        opt = optimizer({"x": 2.0}, {"x": 0.0}, decay=0.5)
+        opt.step(0.1)
+        assert opt.params["x"].item() == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+
+    def test_missing_gradient_still_decays(self):
+        """A parameter without ``.grad`` decays like one with a zero gradient, and its moments stay 0."""
+        opt = optimizer({"x": 2.0, "y": 1.0}, {"x": None, "y": 0.5}, decay=0.5)
+        opt.step(0.1)
+        assert opt.params["x"].item() == 2.0 * (1 - 0.1 * 0.5)
+        assert opt.m["x"] == 0.0 and opt.v["x"] == 0.0
+        assert opt.m["y"] != 0.0 and opt.v["y"] != 0.0
 
     def test_nan_gradient_aborts_with_name(self):
-        p = {"x": np.array(0.0)}
+        opt = optimizer({"x": 0.0}, {"x": np.nan})
         with pytest.raises(NumericError, match="x"):
-            adamw_step(p, {"x": np.array(np.nan)}, scalar_state(), lr_t=1e-3, decay=0.0)
+            opt.step(1e-3)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_nonfinite_lr_rejected_before_any_parameter_moves(self, lr):
-        params = {"a": np.array([1.0, -2.0]), "b": np.array(0.5)}
-        grads = {"a": np.array([0.1, 0.2]), "b": np.array(-0.3)}
-        state = {"step": 3, "m": {k: np.full_like(v, 0.01) for k, v in params.items()},
-                 "v": {k: np.full_like(v, 0.02) for k, v in params.items()}}
-        before = {k: v.copy() for k, v in params.items()}
+        opt = optimizer({"a": [1.0, -2.0], "b": 0.5}, {"a": [0.1, 0.2], "b": -0.3}, decay=0.01)
+        opt.steps = 3
+        for k in opt.params:
+            opt.m[k].fill(0.01)
+            opt.v[k].fill(0.02)
+        before = {k: v.data.copy() for k, v in opt.params.items()}
         with pytest.raises(NumericError, match="non-finite learning rate"):
-            adamw_step(params, grads, state, lr_t=lr, decay=0.01)
-        for k in params:
-            assert params[k].tobytes() == before[k].tobytes(), k
-            assert np.all(state["m"][k] == 0.01) and np.all(state["v"][k] == 0.02), k
-        assert state["step"] == 3
+            opt.step(lr)
+        for k, v in opt.params.items():
+            assert v.data.tobytes() == before[k].tobytes(), k
+            assert np.all(opt.m[k] == 0.01) and np.all(opt.v[k] == 0.02), k
+        assert opt.steps == 3
 
     def test_nonfinite_gradient_rejected_before_any_parameter_moves(self):
         """A NaN gradient for a later parameter leaves the earlier one, its moments and the step count alone."""
-        params = {"a": np.array(1.0), "b": np.array(2.0)}
-        state = {"step": 0, "m": {k: np.zeros(()) for k in params}, "v": {k: np.zeros(()) for k in params}}
+        opt = optimizer({"a": 1.0, "b": 2.0}, {"a": 0.5, "b": np.nan}, decay=0.01)
         with pytest.raises(NumericError, match="'b'"):
-            adamw_step(params, {"a": np.array(0.5), "b": np.array(np.nan)}, state, lr_t=1e-3, decay=0.01)
-        assert params["a"] == 1.0 and params["b"] == 2.0
-        assert state["m"]["a"] == 0.0 and state["v"]["a"] == 0.0
-        assert state["step"] == 0
+            opt.step(1e-3)
+        assert opt.params["a"].item() == 1.0 and opt.params["b"].item() == 2.0
+        assert opt.m["a"] == 0.0 and opt.v["a"] == 0.0
+        assert opt.steps == 0
 
     def test_wrapper_consumes_tensor_grads(self):
         t = T.tensor(1.0, requires_grad=True)
@@ -97,15 +108,15 @@ class TestAdamW:
         """Parameters and both moments equal a plain per-parameter update exactly."""
         rng = np.random.default_rng(21)
         shapes = {"s": (), "v": (7,), "m": (5, 3), "t": (2, 3, 4)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        state = {"step": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
-                 "v": {k: np.zeros(s) for k, s in shapes.items()}}
-        ref = {k: [np.array(p), np.zeros(shapes[k]), np.zeros(shapes[k])] for k, p in params.items()}
+        opt = optimizer({k: rng.normal(size=s) for k, s in shapes.items()}, {}, decay=0.01)
+        ref = {k: [p.data.copy(), np.zeros(shapes[k]), np.zeros(shapes[k])] for k, p in opt.params.items()}
         b1, b2 = training.ADAM_BETAS
         eps = training.ADAM_EPS
         for t, lr in enumerate([3e-2, 1e-2, 2e-3, 5e-4], start=1):
             grads = {k: rng.normal(scale=10.0 ** -t, size=s) for k, s in shapes.items()}
-            adamw_step(params, grads, state, lr_t=lr, decay=0.01)
+            for k, g in grads.items():
+                opt.params[k].grad = g.copy()
+            opt.step(lr)
             for k, (p, m, v) in ref.items():
                 g = grads[k]
                 p = p * (1.0 - lr * 0.01)
@@ -114,11 +125,11 @@ class TestAdamW:
                 m_hat = m / (1.0 - b1**t)
                 v_hat = v / (1.0 - b2**t)
                 ref[k] = [p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v]
-        assert state["step"] == 4
+        assert opt.steps == 4
         for k, (p, m, v) in ref.items():
-            assert np.array_equal(params[k], p), k
-            assert np.array_equal(state["m"][k], m), k
-            assert np.array_equal(state["v"][k], v), k
+            assert np.array_equal(opt.params[k].data, p), k
+            assert np.array_equal(opt.m[k], m), k
+            assert np.array_equal(opt.v[k], v), k
 
 
 class TestLrSchedule:
@@ -413,6 +424,23 @@ class TestTrainLoop:
             result = train(model, vocab, examples, config)
             losses.append(result.epoch_losses)
         assert losses[0] == losses[1]
+
+    @pytest.mark.parametrize("lexicon", [None, {}], ids=["none", "empty"])
+    def test_augment_alone_decides_augmentation(self, default_schema, monkeypatch, lexicon):
+        """With ``augment`` on, every training example is augmented; no lexicon means the bundled one."""
+        seen = []
+
+        def counting_augment(example, rng, p_syn, p_del, lex):
+            seen.append(lex)
+            return augment(example, rng, p_syn, p_del, lex)
+
+        monkeypatch.setattr(training, "augment", counting_augment)
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=16)
+        config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=2, warmup=0, seed=0,
+                             max_seq_len=16, augment=True)
+        train(model, vocab, examples, config, validation=examples[:4], lexicon=lexicon)
+        assert len(seen) == 2 * len(examples)
+        assert all(lex == (default_lexicon() if lexicon is None else {}) for lex in seen)
 
     def test_early_stopping_walkthrough(self, default_schema, monkeypatch):
         scores = iter([0.5, 0.6, 0.59, 0.58, 0.57, 0.99])
