@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, json_object, read_json_object, string_list
+from .errors import ConfigError, SchemaError, json_object, string_list
 
 VALENCE_LABELS = ("positive", "negative", "neutral")
 INTENSITY_LABELS = ("high", "low")
@@ -165,10 +164,6 @@ class AffectSchema:
         else:
             high_idx = indices(high, "high")
         return cls(taxonomy=taxonomy, coords=points, tau0=tau0, scale=scale, high_intensity=high_idx)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "AffectSchema":
-        return cls.from_jsonable(read_json_object(path, "schema"))
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "AffectSchema":

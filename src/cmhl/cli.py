@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .affect import INTENSITY_LABELS, VALENCE_LABELS, AffectSchema, LossWeights
+from .affect import INTENSITY_LABELS, VALENCE_LABELS, LossWeights
 from .data import build_vocab, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig
@@ -117,7 +117,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def cmd_derive_labels(args) -> int:
-    schema = AffectSchema.from_json(args.schema) if args.schema else AffectSchema.default()
+    schema = TASKS["emotion"].schema(args.schema)
 
     def derive(obj: dict) -> str:
         emotion = label_index(obj.get("label"), schema.names, "emotion")

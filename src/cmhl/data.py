@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .affect import AffectSchema
-from .errors import ConfigError, DataError, SchemaError, read_json_object, string_list
+from .errors import ConfigError, DataError, SchemaError, string_list
 
 CLS_TOKEN, PAD_TOKEN, UNK_TOKEN = "[CLS]", "[PAD]", "[UNK]"
 CLS_ID, PAD_ID, UNK_ID = 0, 1, 2
@@ -26,6 +26,7 @@ SPECIALS = (CLS_TOKEN, PAD_TOKEN, UNK_TOKEN)
 UNLABELED = -1
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # an undecodable byte, as errors="surrogateescape" reads it
 
 _TRAIN_SPLITS = {"train"}
 _VALIDATION_SPLITS = {"validation", "val", "dev", "test"}
@@ -72,10 +73,6 @@ class MHLabelSchema:
     @classmethod
     def default(cls) -> "MHLabelSchema":
         return cls()
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "MHLabelSchema":
-        return cls.from_jsonable(read_json_object(path, "schema"))
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "MHLabelSchema":
@@ -202,13 +199,15 @@ def label_index(label, names: tuple[str, ...], kind: str) -> int:
 def scan_jsonl(path: str | Path, parse) -> tuple[list, list[tuple[int, str]]]:
     """``parse`` applied to the JSON object on each non-blank line. Returns
     (results, rejected), where rejected holds (line number, reason) pairs for
-    lines that are not JSON objects or that ``parse`` rejects with DataError."""
+    lines that are not UTF-8 JSON objects or that ``parse`` rejects with DataError."""
     results, rejected = [], []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                if _ESCAPED_BYTE.search(line):
+                    raise DataError("not valid UTF-8")
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise DataError("line is not a JSON object")
@@ -291,8 +290,12 @@ def split_examples(
 
 def load_synonyms(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Comma-separated synonym rows -> token to alternatives map."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"lexicon file {path} is not valid UTF-8: {exc}") from None
     lexicon: dict[str, tuple[str, ...]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

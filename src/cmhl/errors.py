@@ -7,6 +7,7 @@ NumericError -> 4.
 """
 
 import json
+import math
 import typing
 from pathlib import Path
 
@@ -38,8 +39,8 @@ class DeterminismError(NumericError):
 def read_json_object(path: str | Path, kind: str, error: type[Exception] = ConfigError) -> dict:
     """The JSON object in a ``kind`` file (``config``, ``schema``); raises ``error`` otherwise."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259)
         raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise error(f"{kind} file {path} does not hold a JSON object")
@@ -60,7 +61,8 @@ def string_list(value, key: str):
 
 
 def check_fields(cls: type, values, section: str) -> dict:
-    """``values`` if it is an object of dataclass ``cls``'s fields, each of its type; else a ConfigError."""
+    """``values`` if it is an object of dataclass ``cls``'s fields, each of its type and every
+    float finite; else a ConfigError."""
     hints = typing.get_type_hints(cls)
     if set(json_object(values, section)) - set(hints):
         raise ConfigError(f"unknown keys in {section!r} section: {sorted(set(values) - set(hints))}")
@@ -70,4 +72,6 @@ def check_fields(cls: type, values, section: str) -> dict:
         if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):  # True is an int to Python
             expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise ConfigError(f"'{section}.{key}' must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # Python's json reads NaN and Infinity
+            raise ConfigError(f"'{section}.{key}' must be a finite number, got {value!r}")
     return values

@@ -6,8 +6,11 @@ elementwise product, reductions, reshaping, ``gather`` (the one read by
 integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
 layer norm, dropout, concatenation, and cross-entropy of logits. NumPy is the
 only dependency: GELU's erf is Cephes' (Moshier, 1989), in blocked NumPy passes.
-Every primitive carries its own backward closure; gradients accumulate into
+Every primitive hands ``_node`` a backward closure that takes the gradient
+of its result and adds into its inputs' ``.grad``; gradients accumulate into
 leaves' ``.grad`` so micro-batch accumulation works without extra bookkeeping.
+No closure refers to the node it belongs to, so a graph holds no reference
+cycle and one that is never walked is freed by reference counting alone.
 ``backward`` consumes the graph it walks, freeing each interior node as soon as
 it has propagated, and inside ``no_grad()`` no graph is recorded at all.
 
@@ -82,7 +85,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = _parents
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self.op = op
 
     @property
@@ -106,34 +109,28 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _node(np.add(self.data, other.data), (self, other), "add")
-        if out.requires_grad:
 
-            def back() -> None:
-                # _unbroadcast returns a view of out.grad unless it had to sum
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad, self.shape), self.shape != out.shape)
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(out.grad, other.shape), other.shape != out.shape)
+        def back(g: np.ndarray) -> None:
+            # _unbroadcast returns a view of g unless it had to sum
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.shape), self.shape != g.shape)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.shape), other.shape != g.shape)
 
-            out._backward = back
-        return out
+        return _node(np.add(self.data, other.data), (self, other), "add", back)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = _node(np.multiply(self.data, other.data), (self, other), "mul")
-        if out.requires_grad:
 
-            def back() -> None:
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad * other.data, self.shape), True)
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(out.grad * self.data, other.shape), True)
+        def back(g: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.shape), True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.shape), True)
 
-            out._backward = back
-        return out
+        return _node(np.multiply(self.data, other.data), (self, other), "mul", back)
 
     __rmul__ = __mul__
 
@@ -150,36 +147,23 @@ class Tensor:
     # -- shape manipulation -------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        out = _node(self.data.reshape(shape), (self,), "reshape")
-        if out.requires_grad:
-            original = self.shape
+        def back(g: np.ndarray) -> None:
+            self._accumulate(g.reshape(self.shape), False)
 
-            def back() -> None:
-                self._accumulate(out.grad.reshape(original), False)
-
-            out._backward = back
-        return out
+        return _node(self.data.reshape(shape), (self,), "reshape", back)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = _node(self.data.swapaxes(a, b), (self,), "swapaxes")
-        if out.requires_grad:
+        def back(g: np.ndarray) -> None:
+            self._accumulate(g.swapaxes(a, b), False)
 
-            def back() -> None:
-                self._accumulate(out.grad.swapaxes(a, b), False)
-
-            out._backward = back
-        return out
+        return _node(self.data.swapaxes(a, b), (self,), "swapaxes", back)
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        out = _node(self.data.sum(axis=axis), (self,), "sum")
-        if out.requires_grad:
+        def back(g: np.ndarray) -> None:
+            grad = g if axis is None else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(grad, self.shape), False)
 
-            def back() -> None:
-                grad = out.grad if axis is None else np.expand_dims(out.grad, axis)
-                self._accumulate(np.broadcast_to(grad, self.shape), False)
-
-            out._backward = back
-        return out
+        return _node(self.data.sum(axis=axis), (self,), "sum", back)
 
     def mean(self) -> "Tensor":
         return self.sum() / self.data.size
@@ -188,9 +172,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
+def _node(data: np.ndarray, parents: tuple, op: str, back: Callable[[np.ndarray], None]) -> Tensor:
+    """The result ``data`` of primitive ``op`` on ``parents``, whose gradient ``back(g)`` propagates.
+
+    The node records its parents and ``back`` only when grad mode is on and
+    some parent requires a gradient; otherwise ``back`` is dropped.
+    """
     requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, _parents=parents if requires else (), op=op)
+    out = Tensor(data, requires, parents if requires else (), op)
+    out._backward = back if requires else None
+    return out
 
 
 @contextlib.contextmanager
@@ -232,19 +223,16 @@ def param(shape: Sequence[int], rng: np.random.Generator) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = _node(np.matmul(a.data, b.data), (a, b), "matmul")
-    if out.requires_grad:
 
-        def back() -> None:
-            if a.requires_grad:
-                ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape), True)
-            if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
-                b._accumulate(_unbroadcast(gb, b.shape), True)
+    def back(g: np.ndarray) -> None:
+        if a.requires_grad:
+            ga = np.matmul(g, b.data.swapaxes(-1, -2))
+            a._accumulate(_unbroadcast(ga, a.shape), True)
+        if b.requires_grad:
+            gb = np.matmul(a.data.swapaxes(-1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.shape), True)
 
-        out._backward = back
-    return out
+    return _node(np.matmul(a.data, b.data), (a, b), "matmul", back)
 
 
 # `linear` runs products below this many multiply-adds as NumPy's stacked
@@ -265,21 +253,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     stacked = rows.size * k < _GEMM_2D_MIN_MACS and x.data.shape[-2:-1] != (1,)
     y = np.matmul(x.data, w.data) if stacked else (rows @ w.data).reshape(*x.data.shape[:-1], k)
     y += b.data
-    out = _node(y, (x, w, b), "linear")
-    if out.requires_grad:
 
-        def back() -> None:
-            g = out.grad.reshape(-1, k)
-            if x.requires_grad:
-                gx = np.matmul(out.grad, w.data.T) if stacked else (g @ w.data.T).reshape(x.data.shape)
-                x._accumulate(gx, True)
-            if w.requires_grad:
-                w._accumulate(rows.T @ g, True)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0), True)
+    def back(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, k)
+        if x.requires_grad:
+            gx = np.matmul(g, w.data.T) if stacked else (g2 @ w.data.T).reshape(x.data.shape)
+            x._accumulate(gx, True)
+        if w.requires_grad:
+            w._accumulate(rows.T @ g2, True)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0), True)
 
-        out._backward = back
-    return out
+    return _node(y, (x, w, b), "linear", back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int) -> Tensor:
@@ -311,42 +296,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = _node(merge(np.matmul(probs, vh)), (q, k, v), "attention")
-    if out.requires_grad:
 
-        def back() -> None:
-            g = split(out.grad)
-            if v.requires_grad:
-                v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), g)), True)
-            if q.requires_grad or k.requires_grad:
-                ds = np.matmul(g, vh.swapaxes(-1, -2))
-                ds -= (ds * probs).sum(axis=-1, keepdims=True)
-                ds *= probs
-                ds *= scale
-                if q.requires_grad:
-                    q._accumulate(merge(np.matmul(ds, kh)), True)
-                if k.requires_grad:
-                    k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh)), True)
+    def back(g: np.ndarray) -> None:
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh)), True)
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(gh, vh.swapaxes(-1, -2))
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(merge(np.matmul(ds, kh)), True)
+            if k.requires_grad:
+                k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh)), True)
 
-        out._backward = back
-    return out
+    return _node(merge(np.matmul(probs, vh)), (q, k, v), "attention", back)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
     """Join along the last axis."""
     parts = tuple(tensors)
-    out = _node(np.concatenate([t.data for t in parts], axis=-1), parts, "concat")
-    if out.requires_grad:
+
+    def back(g: np.ndarray) -> None:
         splits = np.cumsum([t.data.shape[-1] for t in parts])[:-1]
+        pieces = np.split(g, splits, axis=-1)
+        for t, piece in zip(parts, pieces):
+            if t.requires_grad:
+                t._accumulate(piece, False)
 
-        def back() -> None:
-            pieces = np.split(out.grad, splits, axis=-1)
-            for t, piece in zip(parts, pieces):
-                if t.requires_grad:
-                    t._accumulate(piece, False)
-
-        out._backward = back
-    return out
+    return _node(np.concatenate([t.data for t in parts], axis=-1), parts, "concat", back)
 
 
 def gather(x: Tensor, indices, axis: int = -1) -> Tensor:
@@ -359,29 +338,21 @@ def gather(x: Tensor, indices, axis: int = -1) -> Tensor:
     if idx.size and idx.view(np.uintp).max() >= size:
         bad = idx[(idx < 0) | (idx >= size)].flat[0]
         raise ShapeError(f"gather index {bad} out of range for axis {axis} of size {size}")
-    out = _node(x.data.take(idx, axis=axis), (x,), "gather")
-    if out.requires_grad:
-        where = (slice(None),) * axis + (idx,)
 
-        def back() -> None:
-            # in place, so repeated indices and micro-batches add up one term at a time
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, where, out.grad)
+    def back(g: np.ndarray) -> None:
+        # in place, so repeated indices and micro-batches add up one term at a time
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, (slice(None),) * axis + (idx,), g)
 
-        out._backward = back
-    return out
+    return _node(x.data.take(idx, axis=axis), (x,), "gather", back)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _node(np.maximum(x.data, 0.0), (x,), "relu")
-    if out.requires_grad:
+    def back(g: np.ndarray) -> None:
+        x._accumulate(g * (x.data > 0.0), True)
 
-        def back() -> None:
-            x._accumulate(out.grad * (x.data > 0.0), True)
-
-        out._backward = back
-    return out
+    return _node(np.maximum(x.data, 0.0), (x,), "relu", back)
 
 
 # Cephes' erf (Moshier, 1989): x T(x^2) / U(x^2) for |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|))
@@ -428,27 +399,20 @@ def _erf(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with Phi(x) = (1 + erf(x / sqrt(2))) / 2 from the owned Cephes ``_erf``."""
     cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    out = _node(x.data * cdf, (x,), "gelu")
-    if out.requires_grad:
 
-        def back() -> None:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            x._accumulate(out.grad * (cdf + x.data * pdf), True)
+    def back(g: np.ndarray) -> None:
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        x._accumulate(g * (cdf + x.data * pdf), True)
 
-        out._backward = back
-    return out
+    return _node(x.data * cdf, (x,), "gelu", back)
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = _node(np.logaddexp(0.0, x.data), (x,), "softplus")
-    if out.requires_grad:
+    def back(g: np.ndarray) -> None:
+        sig = 1.0 / (1.0 + np.exp(-x.data))
+        x._accumulate(g * sig, True)
 
-        def back() -> None:
-            sig = 1.0 / (1.0 + np.exp(-x.data))
-            x._accumulate(out.grad * sig, True)
-
-        out._backward = back
-    return out
+    return _node(np.logaddexp(0.0, x.data), (x,), "softplus", back)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -458,15 +422,12 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     y = exp / exp.sum(axis=-1, keepdims=True)
-    out = _node(y, (x,), "softmax")
-    if out.requires_grad:
 
-        def back() -> None:
-            dot = (out.grad * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (out.grad - dot), True)
+    def back(g: np.ndarray) -> None:
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x._accumulate(y * (g - dot), True)
 
-        out._backward = back
-    return out
+    return _node(y, (x,), "softmax", back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -476,23 +437,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     istd = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * istd
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
-    if out.requires_grad:
 
-        def back() -> None:
-            g = out.grad
-            if gain.requires_grad:
-                gain._accumulate(_unbroadcast(g * xhat, gain.shape), True)
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.shape), bias.shape != out.shape)
-            if x.requires_grad:
-                dxhat = g * gain.data
-                term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-                term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(istd * term, True)
+    def back(g: np.ndarray) -> None:
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape), True)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape), bias.shape != g.shape)
+        if x.requires_grad:
+            dxhat = g * gain.data
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True)
+            term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(istd * term, True)
 
-        out._backward = back
-    return out
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -501,14 +458,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     keep = rng.random(x.shape) >= rate
     scale = keep / (1.0 - rate)
-    out = _node(x.data * scale, (x,), "dropout")
-    if out.requires_grad:
 
-        def back() -> None:
-            x._accumulate(out.grad * scale, True)
+    def back(g: np.ndarray) -> None:
+        x._accumulate(g * scale, True)
 
-        out._backward = back
-    return out
+    return _node(x.data * scale, (x,), "dropout", back)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -530,17 +484,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
-    out = _node(np.mean(np.log(total) - shifted[np.arange(rows), labels]), (logits,), "cross_entropy")
-    if out.requires_grad:
 
-        def back() -> None:
-            grad = exp / total[:, None]
-            grad[np.arange(rows), labels] -= 1.0
-            grad *= float(out.grad) / rows
-            logits._accumulate(grad, True)
+    def back(g: np.ndarray) -> None:
+        grad = exp / total[:, None]
+        grad[np.arange(rows), labels] -= 1.0
+        grad *= float(g) / rows
+        logits._accumulate(grad, True)
 
-        out._backward = back
-    return out
+    return _node(np.mean(np.log(total) - shifted[np.arange(rows), labels]), (logits,), "cross_entropy", back)
 
 
 # -- backward pass ------------------------------------------------------------
@@ -568,11 +519,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into ``.grad`` of every leaf ``loss`` depends on.
 
-    The graph is consumed: once an interior node has propagated, its
-    ``.grad``, backward closure and parents are dropped, which breaks the
-    node <-> closure reference cycle, so the graph is freed by reference
-    counting while the walk proceeds. Only leaves keep ``.grad``. Calling
-    ``backward`` again on any part of a consumed graph raises RuntimeError.
+    Each node's closure is called with the node's ``.grad``. The graph is
+    consumed: once an interior node has propagated, its ``.grad``, backward
+    closure and parents are dropped, so the activations it kept are freed
+    during the walk even while the caller still holds ``loss``. Only leaves
+    keep ``.grad``. Calling ``backward`` again on any part of a consumed
+    graph raises RuntimeError.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -586,7 +538,7 @@ def backward(loss: Tensor) -> None:
     while order:
         node = order.pop()
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
             node.grad = None
             node._backward = None
             node._parents = ()

@@ -521,7 +521,7 @@ class Task:
 
     def schema(self, path: str | Path | None):
         """The schema in ``path``, or the default one when no path is set."""
-        return self.schema_type.from_json(path) if path else self.schema_type.default()
+        return self.schema_type.from_jsonable(read_json_object(path, "schema")) if path else self.schema_type.default()
 
 
 TASKS = {

@@ -71,6 +71,11 @@ def _containers(children):
 
 JSON_VALUES = _SCALARS | _containers(_SCALARS | _containers(_SCALARS))
 
+# One corpus line: any bytes but a line break, or a JSON object with any text, label and split.
+CORPUS_LINES = st.binary(max_size=40).filter(lambda b: b"\n" not in b and b"\r" not in b) | st.fixed_dictionaries(
+    {"text": JSON_VALUES, "label": JSON_VALUES, "split": JSON_VALUES}
+).map(lambda obj: json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+
 
 class TestDeriveLabels:
     FULL_TABLE = {
@@ -132,6 +137,14 @@ class TestDeriveLabels:
         assert main(argv + ["--skip-bad"]) == EXIT_OK
         assert [json.loads(line)["label"] for line in (tmp_path / "out.jsonl").read_text().splitlines()] == ["joy"]
 
+    def test_non_utf8_line_rejected(self, tmp_path, capsys):
+        (tmp_path / "in.jsonl").write_bytes(b'{"text": "x", "label": "joy"}\n{"text": "caf\xe9", "label": "joy"}\n')
+        argv = ["derive-labels", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+        assert main(argv) == EXIT_DATA
+        assert "rejected line 2: not valid UTF-8" in capsys.readouterr().err
+        assert main(argv + ["--skip-bad"]) == EXIT_OK
+        assert [json.loads(line)["label"] for line in (tmp_path / "out.jsonl").read_text().splitlines()] == ["joy"]
+
     def test_boolean_label_rejected(self, tmp_path, capsys):
         write_lines(tmp_path / "in.jsonl", [{"text": "x", "label": True}])
         rc = main(["derive-labels", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")])
@@ -173,6 +186,17 @@ class TestDeriveLabels:
         """Whatever one schema key holds, derive-labels succeeds or names a config error; it never raises."""
         assert self.derive_with_schema(tmp_path, {key: value}) in (EXIT_OK, EXIT_CONFIG)
         capsys.readouterr()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=CORPUS_LINES)
+    def test_any_corpus_line_exits_cleanly(self, tmp_path, capsys, line):
+        """Whatever bytes or JSON object one corpus line holds, derive-labels
+        succeeds or rejects that line with exit 3; it never raises."""
+        (tmp_path / "in.jsonl").write_bytes(line + b"\n")
+        rc = main(["derive-labels", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_OK or (rc == EXIT_DATA and "rejected line 1: " in err)
 
 
 class TestTrain:
@@ -236,6 +260,11 @@ class TestTrain:
             ({"train": {"validation_fraction": 1.5}}, "validation_fraction"),
             ({"train": {"dropout": 0.3}}, "'dropout'"),  # dropout is set in the encoder section
             ({"train": {"max_seq_len": 32}}, "max_seq_len 32 exceeds encoder max_positions 16"),
+            ({"train": {"warmup": float("nan")}}, "'train.warmup' must be a finite number"),
+            ({"train": {"warmup": float("inf")}}, "'train.warmup' must be a finite number"),
+            ({"train": {"learning_rate": float("inf")}}, "'train.learning_rate' must be a finite number"),
+            ({"train": {"weight_decay": float("nan")}}, "'train.weight_decay' must be a finite number"),
+            ({"loss_weights": {"alpha1": float("nan")}}, "'loss_weights.alpha1' must be a finite number"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
@@ -263,6 +292,27 @@ class TestTrain:
         assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and 'line 97: split ["train"]' in err
+
+    def test_non_utf8_corpus_line_is_data_error(self, tmp_path, corpus, capsys):
+        with open(corpus, "ab") as handle:
+            handle.write(b'{"text": "caf\xe9", "label": "joy"}\n')
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 97: not valid UTF-8" in err
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_bytes(b'{"task": "emotion", "seed": "\xe9"}')
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"config file {tmp_path / 'config.json'} is not valid JSON" in err
+
+    def test_non_utf8_lexicon_names_file(self, tmp_path, corpus, capsys):
+        (tmp_path / "lexicon.txt").write_bytes(b"glad, happy\ncaf\xe9, coffee\n")
+        paths = {"train": str(corpus), "output": str(tmp_path / "run"), "lexicon": str(tmp_path / "lexicon.txt")}
+        config = toy_config(tmp_path, paths=paths, train={"epochs": 1, "max_seq_len": 16, "augment": True})
+        assert main(["train", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"lexicon file {tmp_path / 'lexicon.txt'} is not valid UTF-8" in err
 
     def test_config_not_an_object(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text("[1, 2]")
@@ -480,7 +530,8 @@ class TestEval:
         "corruption",
         ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
          "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout",
-         "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task"],
+         "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task", "not_utf8",
+         "nan_learning_rate", "infinite_alpha1"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -488,6 +539,9 @@ class TestEval:
         if corruption == "malformed_json":
             manifest_path.write_text(manifest_path.read_text()[:-10])
             offender = "manifest.json"
+        elif corruption == "not_utf8":
+            manifest_path.write_bytes(manifest_path.read_bytes().replace(b'"emotion"', b'"\xe9motion"', 1))
+            offender = f"checkpoint manifest file {manifest_path} is not valid JSON"
         elif corruption == "missing_key":
             del manifest["vocab"]
             manifest_path.write_text(json.dumps(manifest))
@@ -524,6 +578,8 @@ class TestEval:
                 "negative_layers": ("encoder", "layers", -1, "encoder dimensions must be positive"),
                 "validation_fraction_one": ("train", "validation_fraction", 1.0, "validation_fraction"),
                 "seq_len_past_positions": ("train", "max_seq_len", 32, "max_seq_len 32 exceeds encoder max_positions 16"),
+                "nan_learning_rate": ("train", "learning_rate", float("nan"), "'train.learning_rate' must be a finite"),
+                "infinite_alpha1": ("loss_weights", "alpha1", float("inf"), "'loss_weights.alpha1' must be a finite"),
             }[corruption]
             manifest[section][key] = value
             manifest_path.write_text(json.dumps(manifest))

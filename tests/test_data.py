@@ -26,6 +26,7 @@ from cmhl.data import (
     tokenize,
 )
 from cmhl.errors import ConfigError, DataError
+from cmhl.training import TASKS
 
 
 @pytest.fixture(scope="module")
@@ -204,14 +205,14 @@ class TestMHLabelSchema:
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"categories": ["low", "mid", "high"], "intensity_field": "sev",
                                     "severity_levels": 4}))
-        assert MHLabelSchema.from_json(path) == self.CUSTOM
+        assert TASKS["mental_health"].schema(path) == self.CUSTOM
 
     @pytest.mark.parametrize("text", ["{oops", "[1, 2]"])
     def test_malformed_json_names_file(self, tmp_path, text):
         path = tmp_path / "labels.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
-            MHLabelSchema.from_json(path)
+            TASKS["mental_health"].schema(path)
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="colour"):

@@ -176,6 +176,23 @@ class TestGraphLifetime:
         finally:
             gc.enable()
 
+    def test_abandoned_graph_freed_without_collector(self):
+        """A graph dropped before ``backward`` holds no reference cycle, so
+        reference counting alone frees its activations."""
+        rng = np.random.default_rng(6)
+        x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w, b = T.tensor(rng.normal(size=(4, 5))), T.tensor(rng.normal(size=5))
+        gc.disable()
+        try:
+            h = T.relu(T.linear(x, w, b))
+            loss = T.softmax(h).sum()
+            assert loss.requires_grad
+            h_data = weakref.ref(h.data)  # Tensor has __slots__ and no weakref slot
+            del h, loss
+            assert h_data() is None
+        finally:
+            gc.enable()
+
     def test_second_backward_on_consumed_graph_raises(self):
         x = T.tensor([1.0, 2.0], requires_grad=True)
         loss = (x * x).sum()

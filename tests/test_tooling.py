@@ -48,6 +48,27 @@ def test_no_uncalled_definitions():
     assert unused == [], f"defined in src/cmhl but used nowhere in src/ or perfbench/: {unused}"
 
 
+def test_backward_closures_recorded_in_one_place():
+    """Only ``_node`` gives a node its backward closure and only ``backward``
+    clears it (``Tensor.__init__`` starts it at None), so no primitive keeps
+    a closure that could refer back to its own node."""
+    assigned = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                assigned.extend(function for t in targets if isinstance(t, ast.Attribute) and t.attr == "_backward")
+            visit(child, function)
+
+    for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert sorted(assigned) == ["__init__", "_node", "backward"]
+
+
 def test_import_loads_no_scipy():
     """``import cmhl.cli`` (every module of the package) loads no SciPy module."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
