@@ -9,12 +9,11 @@ thresholds driven by their distance in valence-arousal space.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, json_object, string_list
+from .errors import ConfigError, SchemaError, check_fields
 
 VALENCE_LABELS = ("positive", "negative", "neutral")
 INTENSITY_LABELS = ("high", "low")
@@ -89,9 +88,17 @@ class LossWeights:
             raise ConfigError("loss weights must be non-negative")
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a JSON number that a float holds finitely (True is an int to Python)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+@dataclass(frozen=True)
+class _SchemaFile:
+    """The fields of an affect schema file; an absent field takes the default schema's value."""
+
+    emotions: tuple[str, ...] = DEFAULT_EMOTIONS
+    positive: tuple[str, ...] = ("joy", "love")
+    negative: tuple[str, ...] = ("sadness", "anger", "fear")
+    coords: dict[str, tuple[float, float]] = field(default_factory=lambda: DEFAULT_COORDS)
+    tau0: float = DEFAULT_TAU0
+    scale: float = DEFAULT_SCALE
+    high: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -168,28 +175,7 @@ class AffectSchema:
     @classmethod
     def from_jsonable(cls, raw: dict) -> "AffectSchema":
         """Inverse of ``to_jsonable``; absent fields take the default schema's values."""
-        known = {"emotions", "positive", "negative", "coords", "tau0", "scale", "high"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"schema file has unknown fields: {sorted(unknown)}")
-        coords = json_object(raw.get("coords", DEFAULT_COORDS), "coords")
-        for name, point in coords.items():
-            if not (isinstance(point, (list, tuple)) and len(point) == 2 and all(map(_finite, point))):
-                raise ConfigError(f"'coords.{name}' must be two finite numbers, got {point!r}")
-        tau0, scale = raw.get("tau0", DEFAULT_TAU0), raw.get("scale", DEFAULT_SCALE)
-        for key, value in (("tau0", tau0), ("scale", scale)):
-            if not _finite(value):
-                raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-        high = raw.get("high")
-        return cls.build(
-            emotions=string_list(raw.get("emotions", DEFAULT_EMOTIONS), "emotions"),
-            positive=string_list(raw.get("positive", ("joy", "love")), "positive"),
-            negative=string_list(raw.get("negative", ("sadness", "anger", "fear")), "negative"),
-            coords=coords,
-            tau0=tau0,
-            scale=scale,
-            high=None if high is None else string_list(high, "high"),
-        )
+        return cls.build(**vars(_SchemaFile(**check_fields(_SchemaFile, raw))))
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between two emotions' coordinates, over the largest pair distance."""

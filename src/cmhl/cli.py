@@ -21,7 +21,7 @@ from .affect import INTENSITY_LABELS, VALENCE_LABELS, LossWeights
 from .data import build_vocab, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, NumericError, check_fields, json_object, read_json_object
+from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
 from .training import (
     TASKS,
     Checkpoint,
@@ -44,7 +44,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_PATH_KEYS = ("train", "validation", "schema", "lexicon", "output")
+
+@dataclasses.dataclass(frozen=True)
+class Paths:
+    train: str | None = None
+    validation: str | None = None
+    schema: str | None = None
+    lexicon: str | None = None
+    output: str | None = None
 
 
 @dataclasses.dataclass
@@ -53,48 +60,22 @@ class RunConfig:
 
     task: str
     seed: int
-    paths: dict[str, str | None]
+    paths: Paths
     train: TrainConfig
     encoder: EncoderConfig
     loss_weights: LossWeights
     vocab_min_freq: int
 
 
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _apply_overrides(base, overrides, section: str):
-    check_fields(type(base), overrides, section)
-    if section == "train" and "seed" in overrides:
-        raise ConfigError("set the seed at the top level, not inside 'train'")
-    return dataclasses.replace(base, **overrides)
-
-
 def load_run_config(path: str | Path) -> RunConfig:
-    raw = read_json_object(path, "config")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    raw = check_fields(RunConfig, read_json_object(path, "config"))
     task = raw.get("task", "emotion")
-    if not isinstance(task, str) or task not in TASKS:
+    if task not in TASKS:
         raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    if "seed" in raw.get("train", {}):
+        raise ConfigError("set the seed at the top level, not inside 'train'")
 
-    paths = dict.fromkeys(_PATH_KEYS)
-    paths.update(json_object(raw.get("paths", {}), "paths"))
-    if set(paths) - set(_PATH_KEYS):
-        raise ConfigError(f"unknown keys in 'paths': {sorted(set(paths) - set(_PATH_KEYS))}")
-    for key, value in paths.items():
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"'paths.{key}' must be a string or null, got {value!r}")
-
-    train_config = _apply_overrides(TASKS[task].preset(), raw.get("train", {}), "train")
-    encoder_config = _apply_overrides(EncoderConfig(), raw.get("encoder", {}), "encoder")
-    loss_weights = _apply_overrides(LossWeights(), raw.get("loss_weights", {}), "loss_weights")
-
-    seed = _integer(raw.get("seed", 0), "seed")
+    seed = raw.get("seed", 0)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
@@ -102,14 +83,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
 
-    return RunConfig(
-        task=task,
-        seed=seed,
-        paths=paths,
-        train=dataclasses.replace(train_config, seed=seed),
-        encoder=encoder_config,
-        loss_weights=loss_weights,
-        vocab_min_freq=_integer(raw.get("vocab_min_freq", 1), "vocab_min_freq"),
+    train_config = dataclasses.replace(TASKS[task].preset(), **raw.get("train", {}), seed=seed)
+    return RunConfig(  # each section over its defaults, the task's preset for train
+        task, seed, Paths(**raw.get("paths", {})), train_config, EncoderConfig(**raw.get("encoder", {})),
+        LossWeights(**raw.get("loss_weights", {})), raw.get("vocab_min_freq", 1),
     )
 
 
@@ -141,28 +118,27 @@ def cmd_derive_labels(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    if not cfg.paths.get("train"):
+    if not cfg.paths.train:
         raise ConfigError("config must set paths.train")
-    if not cfg.paths.get("output"):
+    if not cfg.paths.output:
         raise ConfigError("config must set paths.output")
     check_seq_len(cfg.encoder, cfg.train)
-    out_dir = Path(cfg.paths["output"])
+    out_dir = Path(cfg.paths.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     task = TASKS[cfg.task]
-    schema = task.schema(cfg.paths.get("schema"))
-    corpus = task.load(cfg.paths["train"], schema)
-    if cfg.paths.get("validation"):
+    schema = task.schema(cfg.paths.schema)
+    corpus = task.load(cfg.paths.train, schema)
+    if cfg.paths.validation:
         train_examples = [ex for ex in corpus if ex.is_train]
-        val_examples = task.load(cfg.paths["validation"], schema)
+        val_examples = task.load(cfg.paths.validation, schema)
     else:
         train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction)
 
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
     model = task.build(cfg.encoder, len(vocab), schema, cfg.loss_weights, cfg.seed)
 
-    lexicon_path = cfg.paths.get("lexicon")
-    lexicon = load_synonyms(lexicon_path) if cfg.train.augment and lexicon_path else None
+    lexicon = load_synonyms(cfg.paths.lexicon) if cfg.train.augment and cfg.paths.lexicon else None
 
     started = time.time()
     result = train(model, vocab, train_examples, cfg.train, validation=val_examples, lexicon=lexicon)
@@ -208,7 +184,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
+    try:
+        model = model_from_checkpoint(ckpt)
+    except DataError as exc:  # the manifest's config sections disagree with its tensor entries
+        raise DataError(f"{Path(args.checkpoint) / 'manifest.json'}: {exc}") from None
     examples = TASKS[ckpt.task].load(args.corpus, ckpt.schema)
 
     y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)

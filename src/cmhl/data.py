@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .affect import AffectSchema
-from .errors import ConfigError, DataError, SchemaError, string_list
+from .errors import ConfigError, DataError, SchemaError, check_fields
 
 CLS_TOKEN, PAD_TOKEN, UNK_TOKEN = "[CLS]", "[PAD]", "[UNK]"
 CLS_ID, PAD_ID, UNK_ID = 0, 1, 2
@@ -69,6 +69,8 @@ class MHLabelSchema:
     def __post_init__(self):
         if len(set(self.categories)) != len(self.categories) or not self.categories:
             raise ConfigError("category names must be non-empty and unique")
+        if self.severity_levels < 1:
+            raise ConfigError(f"'severity_levels' must be >= 1, got {self.severity_levels}")
 
     @classmethod
     def default(cls) -> "MHLabelSchema":
@@ -77,16 +79,7 @@ class MHLabelSchema:
     @classmethod
     def from_jsonable(cls, raw: dict) -> "MHLabelSchema":
         """Inverse of ``to_jsonable``; absent fields take their defaults."""
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"label schema has unknown fields: {sorted(unknown)}")
-        raw = {**asdict(cls()), **raw}
-        categories, field_name, levels = raw["categories"], raw["intensity_field"], raw["severity_levels"]
-        if not isinstance(field_name, str):
-            raise ConfigError(f"label schema 'intensity_field' must be a string, got {field_name!r}")
-        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
-            raise ConfigError(f"label schema 'severity_levels' must be a positive integer, got {levels!r}")
-        return cls(tuple(string_list(categories, "categories")), field_name, levels)
+        return cls(**check_fields(cls, raw))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -100,11 +93,13 @@ class MHLabelSchema:
 class Vocabulary:
     tokens: tuple[str, ...]  # position == id; starts with the three specials
     min_frequency: int
-    token_to_id: dict[str, int] = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self.token_to_id:
-            self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
+    def __post_init__(self):  # token_to_id is derived, not a field, so a manifest neither holds nor sets it
+        if tuple(self.tokens[: len(SPECIALS)]) != SPECIALS:
+            raise ConfigError(f"'vocab.tokens' must start with {SPECIALS}, got {tuple(self.tokens[: len(SPECIALS)])}")
+        self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(self.token_to_id) != len(self.tokens):
+            raise ConfigError(f"'vocab.tokens' repeats {sorted(t for t, n in Counter(self.tokens).items() if n > 1)}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -117,7 +112,7 @@ class Vocabulary:
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "Vocabulary":
-        return cls(tokens=tuple(raw["tokens"]), min_frequency=int(raw["min_frequency"]))
+        return cls(**check_fields(cls, raw, "vocab"))
 
 
 def build_vocab(examples: list[LabeledExample], min_freq: int = 1) -> Vocabulary:

@@ -28,7 +28,7 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.layers < 0 or self.heads < 1 or self.hidden < 1:
+        if self.layers < 0 or min(self.heads, self.hidden, self.ffn_dim, self.max_positions) < 1:
             raise ConfigError("encoder dimensions must be positive (layers may be 0)")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")

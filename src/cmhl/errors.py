@@ -1,13 +1,15 @@
-"""Exception types shared across the package, the JSON file reader that
-reports a malformed config or schema file as a ConfigError (a malformed
-checkpoint manifest as a DataError), and the type check of dataclass fields.
-
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+"""Exception types shared across the package, and the one reader of JSON records (run
+configs, affect and label schema files, checkpoint manifests): ``check_fields`` reads a
+JSON object as a dataclass's fields by their type hints and names each offender by its
+dotted path (``'train.epochs'``, ``'coords.joy'``, ``'vocab.tokens'``). Range and
+cross-field rules stay in each record's ``__post_init__``. The CLI maps the errors onto
+exit codes: ConfigError -> 2, DataError -> 3, NumericError -> 4.
 """
 
+import dataclasses
 import json
-import math
+import sys
+import types
 import typing
 from pathlib import Path
 
@@ -40,38 +42,52 @@ def read_json_object(path: str | Path, kind: str, error: type[Exception] = Confi
     """The JSON object in a ``kind`` file (``config``, ``schema``); raises ``error`` otherwise."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259)
+    except ValueError as exc:  # not UTF-8 (RFC 8259), not JSON, or an integer past Python's digit limit
         raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise error(f"{kind} file {path} does not hold a JSON object")
     return raw
 
 
-def json_object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def string_list(value, key: str):
-    """``value`` if it is a list of strings; a ConfigError naming ``key`` otherwise."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{key!r} must be a list of strings, got {value!r}")
-    return value
-
-
-def check_fields(cls: type, values, section: str) -> dict:
-    """``values`` if it is an object of dataclass ``cls``'s fields, each of its type and every
-    float finite; else a ConfigError."""
+def check_fields(cls: type, values: dict, section: str = "") -> dict:
+    """``values`` read as dataclass ``cls``'s init fields by their type hints (a list as a tuple, a dataclass
+    as its checked dict; absent fields stay absent), else a ConfigError naming the dotted path of the offender."""
     hints = typing.get_type_hints(cls)
-    if set(json_object(values, section)) - set(hints):
-        raise ConfigError(f"unknown keys in {section!r} section: {sorted(set(values) - set(hints))}")
-    for key, value in values.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)  # int | None -> (int, NoneType)
-        accepted = kinds + (int,) * (float in kinds)  # a float field also takes an integer
-        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):  # True is an int to Python
-            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"'{section}.{key}' must be {expected}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):  # Python's json reads NaN and Infinity
-            raise ConfigError(f"'{section}.{key}' must be a finite number, got {value!r}")
-    return values
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls) if f.init})
+    if unknown:
+        raise ConfigError(f"unknown keys in {section or 'top-level'!r} section: {unknown}")
+    return {key: _read(hints[key], value, f"{section}.{key}" if section else key) for key, value in values.items()}
+
+
+def _describe(kind) -> str:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        return f"a list of {_describe(args[0])}" if args[-1] is Ellipsis else f"[{', '.join(map(_describe, args))}]"
+    if origin is dict:
+        return f"an object of {_describe(args[1])}"
+    if origin is types.UnionType:
+        return " or ".join(map(_describe, args))
+    return "a JSON object" if dataclasses.is_dataclass(kind) else "null" if kind is type(None) else kind.__name__
+
+
+def _read(kind, value, key: str, expected: str = ""):
+    """``value`` read as type ``kind``, else a ConfigError naming ``key``, as a list's items name the list."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if kind is object:  # read later by a record of its own
+        return value
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _read(args[0], value, key, _describe(kind))
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        return check_fields(kind, value, key)
+    if origin is dict and isinstance(value, dict):
+        return {k: _read(args[1], v, f"{key}.{k}") for k, v in value.items()}
+    variadic = origin is tuple and args[-1] is Ellipsis  # from a JSON list, or a record's tuple in memory
+    if origin is tuple and isinstance(value, (list, tuple)) and (variadic or len(value) == len(args)):
+        return tuple(_read(k, v, key) for k, v in zip(args[:1] * len(value) if variadic else args, value))
+    if kind in (int, float, str, bool) and isinstance(value, bool) == (kind is bool):  # True is an int to Python
+        number = kind is float and isinstance(value, (int, float))  # a float field also takes an integer
+        if number and not abs(value) <= sys.float_info.max:  # NaN, Infinity (Python's json reads both), or past a float
+            raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+        if number or isinstance(value, kind):
+            return value
+    raise ConfigError(f"{key!r} must be {expected or _describe(kind)}, got {value!r}")

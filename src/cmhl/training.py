@@ -120,10 +120,6 @@ class Metrics:
     def to_jsonable(self) -> dict:
         return {**asdict(self), "per_class_recall": list(self.per_class_recall)}
 
-    @classmethod
-    def from_jsonable(cls, raw: dict) -> "Metrics":
-        return cls(**{**raw, "per_class_recall": tuple(raw["per_class_recall"])})
-
 
 # -- optimizer -----------------------------------------------------------------
 
@@ -443,28 +439,49 @@ class Checkpoint:
         self.schema = TASKS[self.task].schema_type.from_jsonable(self.schema_json)
 
 
+@dataclass(frozen=True)
+class _TensorEntry:
+    """One tensor of a manifest: a bare file name inside the checkpoint, of little-endian float64."""
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str
+    file: str
+
+    def __post_init__(self):
+        if self.file in ("", "..") or "\0" in self.file or Path(self.file).name != self.file:
+            raise ConfigError(f"tensor {self.name!r}: file {self.file!r} is not a file name inside the checkpoint")
+        if self.dtype != "<f8" or min(self.shape, default=0) < 0:
+            raise ConfigError(f"tensor {self.name!r}: {self.dtype!r} of shape {self.shape} is not <f8 of sizes >= 0")
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """A checkpoint manifest (``format`` 1), as written and read; ``schema`` is read by the task's schema type."""
+
+    format: int
+    task: str
+    epoch: int
+    metrics: Metrics | None
+    encoder: EncoderConfig
+    train: TrainConfig
+    loss_weights: LossWeights | None
+    vocab: Vocabulary
+    schema: dict[str, object]
+    tensors: tuple[_TensorEntry, ...]
+
+
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
     """JSON manifest plus one little-endian float64 binary per tensor."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (name, data) in enumerate(sorted(ckpt.tensors.items())):
-        fname = f"tensor_{i:04d}.bin"
-        (directory / fname).write_bytes(np.ascontiguousarray(data, dtype="<f8").tobytes())
-        entries.append({"name": name, "shape": list(data.shape), "dtype": "<f8", "file": fname})
-    manifest = {
-        "format": 1,
-        "task": ckpt.task,
-        "epoch": ckpt.epoch,
-        "metrics": None if ckpt.metrics is None else ckpt.metrics.to_jsonable(),
-        "encoder": asdict(ckpt.encoder_config),
-        "train": asdict(ckpt.train_config),
-        "loss_weights": None if ckpt.loss_weights is None else asdict(ckpt.loss_weights),
-        "vocab": ckpt.vocab.to_jsonable(),
-        "schema": ckpt.schema_json,
-        "tensors": entries,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
+        entries.append(_TensorEntry(name, data.shape, "<f8", f"tensor_{i:04d}.bin"))
+        (directory / entries[-1].file).write_bytes(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    manifest = _Manifest(1, ckpt.task, ckpt.epoch, ckpt.metrics, ckpt.encoder_config, ckpt.train_config,
+                         ckpt.loss_weights, ckpt.vocab, ckpt.schema_json, tuple(entries))
+    (directory / "manifest.json").write_text(json.dumps(asdict(manifest), indent=1))
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
@@ -476,32 +493,32 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     if manifest.get("format") != 1:
         raise DataError(f"{manifest_path}: format {manifest.get('format')!r} is not 1")
     try:
+        m = check_fields(_Manifest, manifest)
         tensors = {}
-        for entry in manifest["tensors"]:
-            path, shape = directory / entry["file"], tuple(entry["shape"])
-            raw, expected = path.read_bytes(), 8 * math.prod(shape)
-            if entry["dtype"] != "<f8" or len(raw) != expected:
-                raise DataError(f"tensor file {path}: {len(raw)} bytes of {entry['dtype']}, expected {expected} of <f8")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        lw = manifest.get("loss_weights")
-        encoder_config = EncoderConfig(**check_fields(EncoderConfig, manifest["encoder"], "encoder"))
-        train_config = TrainConfig(**check_fields(TrainConfig, manifest["train"], "train"))
+        for entry in (_TensorEntry(**e) for e in m["tensors"]):
+            raw = (directory / entry.file).read_bytes()
+            if len(raw) != 8 * math.prod(entry.shape):
+                raise DataError(f"tensor file {entry.file}: {len(raw)} bytes, expected {8 * math.prod(entry.shape)}")
+            tensors[entry.name] = np.frombuffer(raw, dtype="<f8").reshape(entry.shape).copy()
+        encoder_config, train_config = EncoderConfig(**m["encoder"]), TrainConfig(**m["train"])
         check_seq_len(encoder_config, train_config)
         return Checkpoint(
-            task=manifest["task"],
+            task=m["task"],
             encoder_config=encoder_config,
             train_config=train_config,
-            loss_weights=None if lw is None else LossWeights(**check_fields(LossWeights, lw, "loss_weights")),
-            vocab=Vocabulary.from_jsonable(manifest["vocab"]),
-            schema_json=manifest["schema"],
-            epoch=manifest["epoch"],
-            metrics=None if manifest["metrics"] is None else Metrics.from_jsonable(manifest["metrics"]),
+            loss_weights=None if m["loss_weights"] is None else LossWeights(**m["loss_weights"]),
+            vocab=Vocabulary(**m["vocab"]),
+            schema_json=m["schema"],
+            epoch=m["epoch"],
+            metrics=None if m["metrics"] is None else Metrics(**m["metrics"]),
             tensors=tensors,
         )
     except KeyError as exc:
         raise DataError(f"{manifest_path}: missing key {exc}") from None
-    except (TypeError, ConfigError) as exc:  # a wrong JSON type; a config or schema value of the wrong type or range
+    except (TypeError, ConfigError) as exc:  # a section's required field absent; a value of the wrong type or range
         raise DataError(f"{manifest_path}: malformed value: {exc}") from None
+    except (DataError, OSError) as exc:  # a tensor file that is missing, unreadable or of the wrong size
+        raise DataError(f"{manifest_path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -542,6 +559,11 @@ TASKS = {
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model named by the checkpoint and load its tensors."""
+    cfg = ckpt.encoder_config  # a floor on the model's size (embeddings, blocks, heads), checked before allocating
+    heads = len(ckpt.schema.names) + getattr(ckpt.schema, "severity_levels", 0)  # the mental-health severity head
+    floor = (len(ckpt.vocab) + cfg.max_positions + cfg.layers * (4 * cfg.hidden + 2 * cfg.ffn_dim) + heads) * cfg.hidden
+    if floor > sum(t.size for t in ckpt.tensors.values()):
+        raise DataError(f"the encoder config needs at least {floor} parameters, more than the checkpoint holds")
     weights = ckpt.loss_weights or LossWeights()
     model = TASKS[ckpt.task].build(ckpt.encoder_config, len(ckpt.vocab), ckpt.schema, weights, 0)
 

@@ -1,11 +1,14 @@
 """Command-line behavior: derivation, training artifacts, eval, exit codes."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +19,15 @@ from hypothesis import strategies as st
 import cmhl
 import cmhl.cli
 import cmhl.training
-from cmhl.affect import DEFAULT_COORDS, DEFAULT_EMOTIONS, AffectSchema
-from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from cmhl.data import MHLabelSchema, load_corpus, split_examples
+from cmhl.affect import DEFAULT_COORDS, DEFAULT_EMOTIONS, AffectSchema, LossWeights
+from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, Paths, load_run_config, main
+from cmhl.data import MHLabelSchema, Vocabulary, load_corpus, split_examples
+from cmhl.encoder import EncoderConfig
+from cmhl.errors import ConfigError
 from cmhl.training import (
     Checkpoint,
+    Metrics,
+    TrainConfig,
     accuracy,
     load_checkpoint,
     model_from_checkpoint,
@@ -72,6 +79,24 @@ def _containers(children):
 JSON_VALUES = _SCALARS | _containers(_SCALARS | _containers(_SCALARS))
 
 # One corpus line: any bytes but a line break, or a JSON object with any text, label and split.
+
+def _keys(*sections):
+    """(section, key) for every init field of each (section, dataclass) pair."""
+    return [(name, f.name) for name, cls in sections for f in dataclasses.fields(cls) if f.init]
+
+
+# Every key of a run config: (None, top-level key) or (section, key).
+RUN_CONFIG_KEYS = [(None, key) for _, key in _keys((None, cmhl.cli.RunConfig))] + _keys(
+    ("paths", Paths), ("train", TrainConfig), ("encoder", EncoderConfig), ("loss_weights", LossWeights))
+
+# Every key of each section of an emotion checkpoint's manifest, and of its first tensor entry.
+MANIFEST_KEYS = (
+    _keys(("metrics", Metrics), ("encoder", EncoderConfig), ("train", TrainConfig), ("loss_weights", LossWeights),
+          ("vocab", Vocabulary))
+    + [("schema", key) for key in sorted(AffectSchema.default().to_jsonable())]
+    + [("tensors", key) for key in ("name", "shape", "dtype", "file")]
+)
+
 CORPUS_LINES = st.binary(max_size=40).filter(lambda b: b"\n" not in b and b"\r" not in b) | st.fixed_dictionaries(
     {"text": JSON_VALUES, "label": JSON_VALUES, "split": JSON_VALUES}
 ).map(lambda obj: json.dumps(obj, ensure_ascii=False).encode("utf-8"))
@@ -265,11 +290,31 @@ class TestTrain:
             ({"train": {"learning_rate": float("inf")}}, "'train.learning_rate' must be a finite number"),
             ({"train": {"weight_decay": float("nan")}}, "'train.weight_decay' must be a finite number"),
             ({"loss_weights": {"alpha1": float("nan")}}, "'loss_weights.alpha1' must be a finite number"),
+            ({"train": {"learning_rate": 10**400}}, "'train.learning_rate' must be a finite number"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
         assert main(["train", "--config", str(toy_config(tmp_path, **overrides))]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(where=st.sampled_from(RUN_CONFIG_KEYS), value=JSON_VALUES | st.integers(-(10**400), 10**400))
+    def test_any_config_value_loads_or_raises_config_error(self, tmp_path, where, value):
+        """Whatever one key of a run config holds, the config raises a ConfigError or
+        loads with every float field a finite float."""
+        config = json.loads(toy_config(tmp_path).read_text())
+        section, key = where
+        (config if section is None else config.setdefault(section, {}))[key] = value
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        try:
+            loaded = load_run_config(tmp_path / "config.json")
+        except ConfigError:
+            return
+        for record in (loaded.train, loaded.encoder, loaded.loss_weights):
+            hints = typing.get_type_hints(type(record))
+            for name in (f.name for f in dataclasses.fields(record) if hints[f.name] is float):
+                assert math.isfinite(float(getattr(record, name))), name
 
     def test_nonfinite_mid_run_exits_numeric(self, tmp_path, corpus, capsys, monkeypatch):
         """A value that turns non-finite in epoch 2 ends in exit 4, not a traceback, and leaves no checkpoint."""
@@ -302,6 +347,12 @@ class TestTrain:
 
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         (tmp_path / "config.json").write_bytes(b'{"task": "emotion", "seed": "\xe9"}')
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"config file {tmp_path / 'config.json'} is not valid JSON" in err
+
+    def test_integer_past_digit_limit_names_file(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text('{"task": "emotion", "seed": ' + "7" * 5000 + "}")
         assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"config file {tmp_path / 'config.json'} is not valid JSON" in err
@@ -452,6 +503,27 @@ class TestTrainMentalHealth:
         assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
         assert 'line 31: severity "high"' in capsys.readouterr().err
 
+    def test_severity_levels_past_the_tensors_exits_data_error(self, tmp_path, capsys):
+        """A manifest whose label schema asks for far more severity levels than its
+        tensors hold exits 3 naming the manifest, before the model is allocated."""
+        write_mh_corpus(tmp_path / "mh.jsonl", 30)
+        config = {
+            "task": "mental_health",
+            "paths": {"train": str(tmp_path / "mh.jsonl"), "output": str(tmp_path / "run")},
+            "train": {"epochs": 1, "warmup": 0, "max_seq_len": 16},
+            "encoder": dict(TOY_ENCODER),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"]["severity_levels"] = 10**12
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "run" / "checkpoint"), str(tmp_path / "mh.jsonl")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest_path) in err
+
     def test_custom_label_schema_round_trip(self, tmp_path):
         """A checkpoint trained with non-default categories and severity
         levels restores the same schema and the same tensors."""
@@ -531,7 +603,8 @@ class TestEval:
         ["malformed_json", "missing_key", "short_tensor", "unknown_format", "wrong_type",
          "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout",
          "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task", "not_utf8",
-         "nan_learning_rate", "infinite_alpha1"],
+         "nan_learning_rate", "infinite_alpha1", "vocab_min_frequency_string", "vocab_tokens_string",
+         "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -567,6 +640,24 @@ class TestEval:
             manifest["schema"][key] = value
             manifest_path.write_text(json.dumps(manifest))
             offender = f"manifest.json: malformed value: {key!r}"
+        elif corruption.startswith("vocab_"):
+            tokens = manifest["vocab"]["tokens"]
+            key, value = {
+                "vocab_min_frequency_string": ("min_frequency", "x"),
+                "vocab_tokens_string": ("tokens", "abc"),
+                "vocab_specials_moved": ("tokens", [tokens[1], tokens[0]] + tokens[2:]),
+                "vocab_repeated_token": ("tokens", tokens[:-1] + tokens[-2:-1]),
+            }[corruption]
+            manifest["vocab"][key] = value
+            manifest_path.write_text(json.dumps(manifest))
+            offender = f"'vocab.{key}'"
+        elif corruption == "tensor_file_outside":  # an absolute path to a file of the right size
+            entry = manifest["tensors"][0]
+            outside = tmp_path / "outside.bin"
+            outside.write_bytes((trained / entry["file"]).read_bytes())
+            entry["file"] = str(outside)
+            manifest_path.write_text(json.dumps(manifest))
+            offender = f"tensor {entry['name']!r}: file {str(outside)!r}"
         elif corruption == "unknown_task":
             manifest["task"] = "bogus"
             manifest_path.write_text(json.dumps(manifest))
@@ -586,6 +677,25 @@ class TestEval:
         assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and offender in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(where=st.sampled_from(MANIFEST_KEYS), value=JSON_VALUES)
+    def test_any_manifest_value_exits_cleanly(self, corpus, trained, capsys, where, value):
+        """Whatever one key of a manifest section or of a tensor entry holds,
+        eval succeeds or exits 3 naming the manifest; it never raises."""
+        manifest_path = trained / "manifest.json"
+        original = manifest_path.read_text()
+        manifest = json.loads(original)
+        section, key = where
+        (manifest["tensors"][0] if section == "tensors" else manifest[section])[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        try:
+            rc = main(["eval", str(trained), str(corpus)])
+        finally:
+            manifest_path.write_text(original)
+        err = capsys.readouterr().err
+        assert rc == EXIT_OK or (rc == EXIT_DATA and "manifest.json" in err), err
 
     def test_one_predict_pass(self, tmp_path, corpus, trained, monkeypatch):
         """The metrics and ``--dump-predictions`` share one prediction pass."""
