@@ -129,11 +129,8 @@ def cmd_train(args) -> int:
     task = TASKS[cfg.task]
     schema = task.schema(cfg.paths.schema)
     corpus = task.load(cfg.paths.train, schema)
-    if cfg.paths.validation:
-        train_examples = [ex for ex in corpus if ex.is_train]
-        val_examples = task.load(cfg.paths.validation, schema)
-    else:
-        train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction)
+    validation = task.load(cfg.paths.validation, schema) if cfg.paths.validation else None
+    train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction, validation)
 
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
     model = task.build(cfg.encoder, len(vocab), schema, cfg.loss_weights, cfg.seed)

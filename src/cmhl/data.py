@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,16 +38,21 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledExample:
     """One classification example; the primary label is an index into the
-    active taxonomy (emotion or mental-health category)."""
+    active taxonomy (emotion or mental-health category). ``tokens`` is
+    ``tokenize(text)``, interned once on creation; frozen, so the two agree."""
 
     text: str
     emotion: int
     valence: int | None = None
     intensity: int | None = None
     split: str | None = None
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(map(sys.intern, tokenize(self.text))))
 
     @property
     def is_train(self) -> bool:
@@ -107,13 +113,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def to_jsonable(self) -> dict:
-        return {"tokens": list(self.tokens), "min_frequency": self.min_frequency}
-
-    @classmethod
-    def from_jsonable(cls, raw: dict) -> "Vocabulary":
-        return cls(**check_fields(cls, raw, "vocab"))
-
 
 def build_vocab(examples: list[LabeledExample], min_freq: int = 1) -> Vocabulary:
     """Frequency-thresholded vocabulary with deterministic id assignment
@@ -124,7 +123,7 @@ def build_vocab(examples: list[LabeledExample], min_freq: int = 1) -> Vocabulary
         raise ConfigError("cannot build a vocabulary from an empty corpus")
     counts = Counter()
     for ex in examples:
-        counts.update(tokenize(ex.text))
+        counts.update(ex.tokens)
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
@@ -137,13 +136,6 @@ class Batch:
     token_ids: np.ndarray  # [batch, seq_len] int64
     attention_mask: np.ndarray  # [batch, seq_len] {0,1}
     labels: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.token_ids.shape[1]
 
 
 def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int) -> Batch:
@@ -158,7 +150,7 @@ def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int
     ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((n, max_len), dtype=np.int64)
     for row, ex in enumerate(examples):
-        toks = [CLS_ID] + [vocab.id(t) for t in tokenize(ex.text)]
+        toks = [CLS_ID] + [vocab.id(t) for t in ex.tokens]
         toks = toks[:max_len]
         ids[row, : len(toks)] = toks
         mask[row, : len(toks)] = 1
@@ -263,9 +255,16 @@ def load_mh_corpus(
 
 
 def split_examples(
-    examples: list[LabeledExample], seed: int, validation_fraction: float = 0.1
+    examples: list[LabeledExample],
+    seed: int,
+    validation_fraction: float = 0.1,
+    validation: list[LabeledExample] | None = None,
 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
-    """Honor per-line split fields when present, else a seeded shuffle split."""
+    """(train, validation): the train rows and ``validation`` when it is
+    given, else the per-line split fields when present, else a seeded
+    shuffle split."""
+    if validation is not None:
+        return [ex for ex in examples if ex.is_train], validation
     if any(ex.split is not None for ex in examples):
         train = [ex for ex in examples if ex.is_train]
         validation = [ex for ex in examples if ex.is_validation]
@@ -323,15 +322,10 @@ def augment(
     Deletion keeps at least one token: when every token draws a deletion,
     the final token survives.
     """
-    if not 0.0 <= p_syn <= 1.0 or not 0.0 <= p_del <= 1.0:
-        raise ConfigError("augmentation probabilities must lie in [0, 1]")
-    if p_syn == 0.0 and p_del == 0.0:
-        return example
-    tokens = tokenize(example.text)
-    if not tokens:
+    if (p_syn == 0.0 and p_del == 0.0) or not example.tokens:
         return example
     substituted = []
-    for tok in tokens:
+    for tok in example.tokens:
         options = lexicon.get(tok)
         if options and rng.random() < p_syn:
             tok = options[rng.integers(len(options))]

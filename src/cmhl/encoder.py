@@ -37,7 +37,7 @@ class EncoderConfig:
 
 
 class Encoder:
-    """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS vector out."""
+    """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS out; dropout only given ``rng``."""
 
     def __init__(self, config: EncoderConfig, vocab_size: int, rng: np.random.Generator):
         self.config = config
@@ -65,7 +65,7 @@ class Encoder:
     def parameters(self) -> dict[str, T.Tensor]:
         return self.params
 
-    def embed(self, batch: Batch, *, training: bool = False, rng=None) -> T.Tensor:
+    def embed(self, batch: Batch, *, rng=None) -> T.Tensor:
         ids = batch.token_ids
         n = ids.shape[1]
         if n > self.config.max_positions:
@@ -74,9 +74,9 @@ class Encoder:
             raise ShapeError(f"token id {ids.max()} outside vocabulary of {self.vocab_size}")
         positions = np.broadcast_to(np.arange(n), ids.shape)
         h = T.embedding(self.params["tok_emb"], ids) + T.embedding(self.params["pos_emb"], positions)
-        return T.dropout(h, self.config.dropout, rng, training)
+        return T.dropout(h, self.config.dropout, rng)
 
-    def encode(self, h0: T.Tensor, mask: np.ndarray, *, training: bool = False, rng=None) -> T.Tensor:
+    def encode(self, h0: T.Tensor, mask: np.ndarray, *, rng=None) -> T.Tensor:
         """The [B, d] CLS vector of the [B, n, d] embeddings ``h0``; ``mask`` is [B, n], 1 at real tokens."""
         cfg = self.config
         batch_size, n, _ = h0.shape
@@ -94,17 +94,16 @@ class Encoder:
             q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
             ctx = T.attention(q, k, v, mask_add, cfg.heads)
             out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
-            x = x + T.dropout(out, cfg.dropout, rng, training)
+            x = x + T.dropout(out, cfg.dropout, rng)
 
             yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
             hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
             ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
-            x = x + T.dropout(ffn_out, cfg.dropout, rng, training)
+            x = x + T.dropout(ffn_out, cfg.dropout, rng)
 
             if not np.isfinite(x.data).all():
                 raise NumericError(f"non-finite activations after encoder layer {i}")
         return T.gather(x, 0, axis=1)
 
-    def forward(self, batch: Batch, *, training: bool = False, rng=None) -> T.Tensor:
-        h0 = self.embed(batch, training=training, rng=rng)
-        return self.encode(h0, batch.attention_mask, training=training, rng=rng)
+    def forward(self, batch: Batch, *, rng=None) -> T.Tensor:
+        return self.encode(self.embed(batch, rng=rng), batch.attention_mask, rng=rng)

@@ -110,8 +110,8 @@ class EmotionModel:
     def num_primary_classes(self) -> int:
         return len(self.schema.taxonomy)
 
-    def forward(self, batch: Batch, *, training: bool = False, rng=None) -> EmotionPrediction:
-        return emotion_heads_forward(self.encoder.forward(batch, training=training, rng=rng), self.heads)
+    def forward(self, batch: Batch, *, rng=None) -> EmotionPrediction:
+        return emotion_heads_forward(self.encoder.forward(batch, rng=rng), self.heads)
 
     def loss(self, preds: EmotionPrediction, batch: Batch) -> T.Tensor:
         return total_loss(preds, batch.labels, self.weights, self.schema)

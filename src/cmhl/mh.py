@@ -152,8 +152,8 @@ class MHModel:
     def num_primary_classes(self) -> int:
         return len(self.labels.categories)
 
-    def forward(self, batch: Batch, *, training: bool = False, rng=None) -> MHPrediction:
-        return mh_predict(self.encoder.forward(batch, training=training, rng=rng), self.heads)
+    def forward(self, batch: Batch, *, rng=None) -> MHPrediction:
+        return mh_predict(self.encoder.forward(batch, rng=rng), self.heads)
 
     def loss(self, preds: MHPrediction, batch: Batch) -> T.Tensor:
         return mh_loss(

@@ -452,9 +452,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", back)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity in evaluation mode."""
-    if not training or rate == 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout drawn from ``rng``; the identity when ``rng`` is None (evaluation)."""
+    if rng is None or rate == 0.0:
         return x
     keep = rng.random(x.shape) >= rate
     scale = keep / (1.0 - rate)

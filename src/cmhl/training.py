@@ -33,7 +33,6 @@ from .data import (
     load_corpus,
     load_mh_corpus,
     split_examples,
-    tokenize,
 )
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
@@ -78,6 +77,9 @@ class TrainConfig:
             raise ConfigError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
+        for name in ("p_synonym", "p_deletion"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
     @classmethod
     def mental_health_preset(cls) -> "TrainConfig":
@@ -101,6 +103,11 @@ class TrainConfig:
 
 def combined_score(macro_f1: float, mean_confidence: float) -> float:
     return F1_WEIGHT * macro_f1 + CONFIDENCE_WEIGHT * mean_confidence
+
+
+def batch_width(chunk: list[LabeledExample], max_seq_len: int) -> int:
+    """Row width a batch of ``chunk`` pads to: [CLS] plus its longest token count, within [2, max_seq_len]."""
+    return max(2, min(max_seq_len, 1 + max(len(ex.tokens) for ex in chunk)))
 
 
 def check_seq_len(encoder: EncoderConfig, train: TrainConfig) -> None:
@@ -205,7 +212,7 @@ def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: Tr
     one. Every batch is that of a serial walk, so the results are identical.
     The first error in either walker stops both and is raised here.
     """
-    lengths = np.array([len(tokenize(ex.text)) for ex in examples], dtype=np.intp)
+    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
     order = np.argsort(lengths, kind="stable")
     preds, confs = np.empty(len(examples), dtype=np.intp), np.empty(len(examples))
     pending = deque(order[start : start + config.batch_size] for start in range(0, len(examples), config.batch_size))
@@ -219,8 +226,8 @@ def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: Tr
                         if not pending:
                             return
                         idx = pending.pop() if from_long_end else pending.popleft()
-                    seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
-                    batch = encode_batch([examples[i] for i in idx], vocab, max(seq, 2))
+                    chunk = [examples[i] for i in idx]
+                    batch = encode_batch(chunk, vocab, batch_width(chunk, config.max_seq_len))
                     probs = model.primary_probs(model.forward(batch)).data
                     preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
         except BaseException as exc:  # raised in the caller once the helper has ended
@@ -321,11 +328,7 @@ def train(
     """
     if config.augment and lexicon is None:
         lexicon = default_lexicon()
-    if validation is not None:
-        train_examples = [ex for ex in corpus if ex.is_train]
-        val_examples = validation
-    else:
-        train_examples, val_examples = split_examples(corpus, config.seed, config.validation_fraction)
+    train_examples, val_examples = split_examples(corpus, config.seed, config.validation_fraction, validation)
     if not train_examples or not val_examples:
         raise DataError("training requires non-empty train and validation sets")
 
@@ -373,10 +376,9 @@ def train(
                             )
                             for ex, orig in zip(chunk, sel)
                         ]
-                    seq = min(config.max_seq_len, 1 + max(len(tokenize(ex.text)) for ex in chunk))
-                    batch = encode_batch(chunk, vocab, max(seq, 2))
+                    batch = encode_batch(chunk, vocab, batch_width(chunk, config.max_seq_len))
                     rng = np.random.default_rng([config.seed, 7, epoch, micro_idx])
-                    preds = model.forward(batch, training=True, rng=rng)
+                    preds = model.forward(batch, rng=rng)
                     loss = model.loss(preds, batch) / len(group)
                     if not np.isfinite(loss.data):
                         raise NumericError("training diverged (non-finite loss)")

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import json
 import time
 from types import SimpleNamespace
@@ -226,10 +227,7 @@ def test_c7_overfit_sanity(default_schema, tmp_path, capsys):
 def test_c8_desk_scale_directional_run(default_schema):
     started = time.time()
     examples = synthetic_emotion_examples(2000, 77, default_schema)
-    for ex in examples[:1500]:
-        ex.split = "train"
-    for ex in examples[1500:]:
-        ex.split = "validation"
+    examples = [dataclasses.replace(ex, split="train" if i < 1500 else "validation") for i, ex in enumerate(examples)]
     vocab = build_vocab(examples[:1500], 1)
     model = EmotionModel.build(EncoderConfig(), len(vocab), default_schema, LossWeights(), seed=5)
     config = TrainConfig(seed=5, max_seq_len=32)  # full emotion preset

@@ -291,6 +291,9 @@ class TestTrain:
             ({"train": {"weight_decay": float("nan")}}, "'train.weight_decay' must be a finite number"),
             ({"loss_weights": {"alpha1": float("nan")}}, "'loss_weights.alpha1' must be a finite number"),
             ({"train": {"learning_rate": 10**400}}, "'train.learning_rate' must be a finite number"),
+            ({"train": {"p_synonym": 1.5, "augment": True}}, "p_synonym"),
+            ({"train": {"p_synonym": 1.5}}, "p_synonym"),
+            ({"train": {"p_deletion": -0.5}}, "p_deletion"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):

@@ -1,5 +1,6 @@
 """Corpus loading, vocabulary, batch encoding, and augmentation behavior."""
 
+import dataclasses
 import json
 import re
 
@@ -244,13 +245,21 @@ class TestVocabulary:
         with pytest.raises(ConfigError):
             build_vocab([], min_freq=1)
 
-    def test_json_round_trip(self):
-        from cmhl.data import Vocabulary
 
-        vocab = build_vocab([LabeledExample(text="a b c", emotion=0)], min_freq=1)
-        clone = Vocabulary.from_jsonable(vocab.to_jsonable())
-        assert clone.tokens == vocab.tokens
-        assert clone.id("b") == vocab.id("b")
+class TestExampleTokens:
+    def test_tokens_are_tokenized_text(self):
+        ex = LabeledExample(text="I can't BELIEVE it -- wow!", emotion=0)
+        assert ex.tokens == tuple(tokenize(ex.text))
+        changed = dataclasses.replace(ex, text="Something else, entirely")
+        assert changed.tokens == tuple(tokenize(changed.text)) != ex.tokens
+
+    def test_frozen_and_interned(self):
+        ex = LabeledExample(text="alpha beta", emotion=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ex.text = "gamma"
+        other = LabeledExample(text="Beta ALPHA", emotion=1)
+        assert other.tokens[1] is ex.tokens[0]  # equal tokens share one string
+        assert "tokens" not in repr(ex) and ex == LabeledExample(text="alpha beta", emotion=0)
 
 
 class TestEncodeBatch:
@@ -368,13 +377,6 @@ class TestAugmentation:
         lex = load_synonyms(path)
         assert lex == {"big": ("large",), "large": ("big",)}
 
-    def test_probability_domain_enforced(self):
-        ex = LabeledExample(text="a b", emotion=0)
-        with pytest.raises(ConfigError):
-            augment(ex, augmentation_rng(0, 0, 0), 1.5, 0.0, self.lexicon)
-        with pytest.raises(ConfigError):
-            augment(ex, augmentation_rng(0, 0, 0), 0.0, -0.1, self.lexicon)
-
 
 class TestSplit:
     def test_split_fields_honored(self):
@@ -386,6 +388,13 @@ class TestSplit:
         train, val = split_examples(examples, seed=0)
         assert [e.text for e in train] == ["a"]
         assert {e.text for e in val} == {"b", "c"}
+
+    def test_given_validation_set_wins(self):
+        examples = [LabeledExample(text="a", emotion=0, split="train"), LabeledExample(text="b", emotion=0),
+                    LabeledExample(text="c", emotion=0, split="validation")]
+        held_out = [LabeledExample(text="d", emotion=0)]
+        train, val = split_examples(examples, seed=0, validation=held_out)
+        assert [e.text for e in train] == ["a", "b"] and val is held_out
 
     def test_seeded_split_deterministic(self):
         examples = [LabeledExample(text=f"t{i}", emotion=0) for i in range(50)]

@@ -69,6 +69,27 @@ def test_backward_closures_recorded_in_one_place():
     assert sorted(assigned) == ["__init__", "_node", "backward"]
 
 
+def test_tokenize_called_in_one_place():
+    """Only ``LabeledExample.__post_init__`` turns text into tokens; every
+    other reader of an example's tokens reads ``ex.tokens``."""
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (where[0], child.name))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "tokenize":
+                    callers.append(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.name, None))
+    assert callers == [("data.py", "__post_init__")]
+
+
 def test_import_loads_no_scipy():
     """``import cmhl.cli`` (every module of the package) loads no SciPy module."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from cmhl import data as data_module
 from cmhl import tensor as T
 from cmhl import training
 from cmhl.affect import LossWeights
@@ -170,9 +171,9 @@ class StubModel:
     def num_primary_classes(self):
         return self.probs.shape[1]
 
-    def forward(self, batch, training=False, rng=None):
-        rows = self.probs[self.cursor : self.cursor + len(batch)]
-        self.cursor += len(batch)
+    def forward(self, batch, rng=None):
+        rows = self.probs[self.cursor : self.cursor + len(batch.token_ids)]
+        self.cursor += len(batch.token_ids)
         return rows
 
     def primary_probs(self, preds):
@@ -414,6 +415,39 @@ class TestPredict:
         assert len(tensor_threads) == 2 and graph_threads == []
 
 
+class TestTokenizeOnce:
+    """An example is tokenized when it is made; batching reads its ``tokens``."""
+
+    @pytest.fixture
+    def tokenize_calls(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(data_module, "tokenize", counted)
+        return calls
+
+    @pytest.mark.parametrize("augmenting, expected", [(False, 0), (True, 24)], ids=["plain", "augment"])
+    def test_train_epoch(self, default_schema, tokenize_calls, augmenting, expected):
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=32)
+        tokenize_calls.clear()
+        config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=1, warmup=0, seed=0,
+                             max_seq_len=16, augment=augmenting)
+        train(model, vocab, examples[:24], config, validation=examples[24:])
+        assert len(tokenize_calls) == expected  # an augmented example is a new text, tokenized once
+
+    def test_predict(self, default_schema, tokenize_calls):
+        model, vocab, examples = tiny_model_and_corpus(default_schema, n=32)
+        tokenize_calls.clear()
+        predict(model, examples, vocab, TrainConfig(batch_size=4, max_seq_len=16))
+        assert tokenize_calls == []
+
+    def test_training_does_not_tokenize(self):
+        assert not hasattr(training, "tokenize")
+
+
 class TestTrainLoop:
     def test_fixed_seed_reproducible(self, default_schema):
         losses = []
@@ -517,6 +551,14 @@ class TestTrainLoop:
         assert not hasattr(mh, "dropout")  # dropout is the encoder's: EncoderConfig.dropout
         assert mh.max_seq_len == 256 and mh.augment
         assert (mh.p_synonym, mh.p_deletion) == (0.1, 0.1)
+
+    def test_augmentation_probabilities_in_unit_interval(self):
+        for name in ("p_synonym", "p_deletion"):
+            for bad in (1.5, -0.1, 1.0000001):
+                with pytest.raises(ConfigError, match=name):
+                    TrainConfig(**{name: bad})
+            assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
+            assert getattr(TrainConfig(**{name: 1.0}), name) == 1.0
 
     def test_warmup_longer_than_run_rejected(self, default_schema):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=16)
