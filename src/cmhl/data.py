@@ -133,9 +133,19 @@ def build_vocab(examples: list[LabeledExample], min_freq: int = 1) -> Vocabulary
 
 @dataclass
 class Batch:
+    """Padded ids and mask, plus the maps that pack the real tokens row-major into [tokens, d] rows."""
+
     token_ids: np.ndarray  # [batch, seq_len] int64
     attention_mask: np.ndarray  # [batch, seq_len] {0,1}
     labels: dict[str, np.ndarray]
+    real: np.ndarray = field(init=False, repr=False)  # [batch * seq_len] bool, True at the real slots
+    positions: np.ndarray = field(init=False, repr=False)  # [tokens] each token's position in its text
+    cls: np.ndarray = field(init=False, repr=False)  # [batch] each text's [CLS] row
+
+    def __post_init__(self):  # built once per batch, however many forward passes read it
+        self.real = self.attention_mask.reshape(-1) != 0
+        self.positions = np.nonzero(self.attention_mask)[1]
+        self.cls = (np.cumsum(self.real) - self.real)[:: self.attention_mask.shape[1]]
 
 
 def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int) -> Batch:

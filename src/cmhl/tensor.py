@@ -235,59 +235,78 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.matmul(a.data, b.data), (a, b), "matmul", back)
 
 
-# `linear` runs products below this many multiply-adds as NumPy's stacked
-# matmul, one GEMM per sample, not as one 2-D GEMM that OpenBLAS threads: its
-# second thread gains little there and stalls whenever the other core is busy
-# (a desk-encoder `cmhl eval` ran 2.4x slower beside one busy process). A
-# [B, 1, d] input is one 2-D GEMM at any size: stacked, it would be B GEMVs.
 _GEMM_2D_MIN_MACS = 1 << 24
+_BLOCK_MACS = 1 << 17
+
+
+def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for [m, d] ``a``: one 2-D GEMM from ``_GEMM_2D_MIN_MACS`` multiply-adds on or within one
+    block of ``_BLOCK_MACS``, else one stacked matmul over the full row blocks plus one for the rest. A small
+    2-D GEMM that OpenBLAS threads gains little from its second thread and stalls whenever the other core
+    is busy: a desk-encoder ``cmhl eval`` ran 2.4x slower beside one busy process, and 2x slower alone."""
+    (m, d), k = a.shape, w.shape[1]
+    block = max(1, _BLOCK_MACS // (d * k))
+    if m <= block or m * d * k >= _GEMM_2D_MIN_MACS:
+        return a @ w
+    full = m - m % block
+    out = np.empty((m, k))
+    np.matmul(a[:full].reshape(-1, block, d), w, out=out[:full].reshape(-1, block, k))
+    np.matmul(a[full:], w, out=out[full:])  # an empty remainder writes nothing
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` as one node: ``w`` is [d, k], ``b`` is [k]. The weight
-    gradient, and large products, are 2-D GEMMs over the leading rows of ``x``."""
+    """Affine map ``x @ w + b`` as one node over the rows of ``x``: ``w`` is [d, k], ``b`` is [k].
+    The weight gradient is one 2-D GEMM; the forward and the input gradient are ``_rows_matmul``."""
     d, k = w.data.shape
     if x.data.shape[-1] != d or b.data.shape != (k,):
         raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
     rows = x.data.reshape(-1, d)
-    stacked = rows.size * k < _GEMM_2D_MIN_MACS and x.data.shape[-2:-1] != (1,)
-    y = np.matmul(x.data, w.data) if stacked else (rows @ w.data).reshape(*x.data.shape[:-1], k)
+    y = _rows_matmul(rows, w.data)
     y += b.data
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, k)
         if x.requires_grad:
-            gx = np.matmul(g, w.data.T) if stacked else (g2 @ w.data.T).reshape(x.data.shape)
-            x._accumulate(gx, True)
+            x._accumulate(_rows_matmul(g2, w.data.T).reshape(x.data.shape), True)
         if w.requires_grad:
             w._accumulate(rows.T @ g2, True)
         if b.requires_grad:
             b._accumulate(g2.sum(axis=0), True)
 
-    return _node(y, (x, w, b), "linear", back)
+    return _node(y.reshape(*x.data.shape[:-1], k), (x, w, b), "linear", back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of [B, m, d] queries over [B, n, d] keys and values, as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, real: np.ndarray, mask_add: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over packed [tokens, d] rows, as one node.
 
-    ``mask_add`` is a constant [B, n] added to every score of each key (0 at
-    real tokens, a large negative number at padding). Scores are scaled by
-    1/sqrt(d / heads); the backward keeps only the [B, heads, m, n] softmax.
+    ``k`` and ``v`` pack the True slots of the [B * n] mask ``real`` (a padded
+    [B, n] batch, row-major); ``q`` is packed the same way or is one [B, d] row
+    per sample, querying as its slot 0. ``mask_add`` is a constant [B, n] added
+    to every score of each key (0 at real tokens, a large negative number at
+    padding). Inside the node each operand is [B, heads, n, dk] with zero rows
+    at pad slots, so a padded key gets probability exactly 0; q's rows come out.
+    Scores are scaled by 1/sqrt(d / heads); the backward keeps only the softmax.
     """
-    batch, _, d = q.data.shape
-    n = k.data.shape[1] if k.data.ndim == 3 else -1
-    if k.shape != (batch, n, d) or v.shape != k.shape or d % heads or np.shape(mask_add) != (batch, n):
-        raise ShapeError(f"attention needs [B, m, d] q, equal [B, n, d] k and v, d divisible by {heads}, a [B, n] mask")
-    dk = d // heads
+    (tokens, d), (batch, n), m = k.data.shape[-2:], mask_add.shape[-2:], q.data.shape[0]
+    packed, padded, dk = m == tokens, tokens < batch * n, d // heads
+    if (k.data.ndim != 2 or mask_add.ndim != 2 or v.shape != k.shape or q.data.shape[1:] != (d,) or d % heads
+            or m not in (tokens, batch) or real.shape != (batch * n,) or np.count_nonzero(real) != tokens):
+        raise ShapeError(f"attention needs [tokens or B, d] q, [tokens, d] k and v, d divisible by {heads}, "
+                         "a [B, n] mask_add and a [B * n] real mask with one True slot per token")
     scale = 1.0 / np.sqrt(dk)
 
-    def split(a: np.ndarray) -> np.ndarray:
-        return a.reshape(batch, a.shape[1], heads, dk).swapaxes(1, 2)
+    def split(a: np.ndarray, grid: bool) -> np.ndarray:
+        if grid and padded:
+            a, rows = np.zeros((batch * n, d)), a
+            a[real] = rows
+        return a.reshape(batch, n if grid else 1, heads, dk).swapaxes(1, 2)
 
-    def merge(a: np.ndarray) -> np.ndarray:
-        return a.swapaxes(1, 2).reshape(batch, a.shape[2], d)
+    def merge(a: np.ndarray, grid: bool) -> np.ndarray:
+        rows = a.swapaxes(1, 2).reshape(-1, d)
+        return rows[real] if grid and padded else rows
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(q.data, packed), split(k.data, True), split(v.data, True)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
     probs += mask_add.reshape(batch, 1, 1, n)
@@ -298,20 +317,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray, heads: int)
     probs /= probs.sum(axis=-1, keepdims=True)
 
     def back(g: np.ndarray) -> None:
-        gh = split(g)
+        gh = split(g, packed)
         if v.requires_grad:
-            v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh)), True)
+            v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh), True), True)
         if q.requires_grad or k.requires_grad:
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
             ds -= (ds * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= scale
             if q.requires_grad:
-                q._accumulate(merge(np.matmul(ds, kh)), True)
+                q._accumulate(merge(np.matmul(ds, kh), packed), True)
             if k.requires_grad:
-                k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh)), True)
+                k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh), True), True)
 
-    return _node(merge(np.matmul(probs, vh)), (q, k, v), "attention", back)
+    return _node(merge(np.matmul(probs, vh), packed), (q, k, v), "attention", back)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -398,11 +417,17 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with Phi(x) = (1 + erf(x / sqrt(2))) / 2 from the owned Cephes ``_erf``."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
+    cdf = _erf(x.data * _INV_SQRT2)  # then (1 + erf) / 2 in place, in erf's fresh array
+    np.multiply(np.add(cdf, 1.0, out=cdf), 0.5, out=cdf)
 
     def back(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        x._accumulate(g * (cdf + x.data * pdf), True)
+        grad = x.data * -0.5  # the pdf term x * exp(-x^2 / 2) / sqrt(2 pi), then + cdf and * g, in one buffer
+        np.exp(np.multiply(grad, x.data, out=grad), out=grad)
+        grad *= _INV_SQRT2PI
+        grad *= x.data
+        grad += cdf
+        grad *= g
+        x._accumulate(grad, True)
 
     return _node(x.data * cdf, (x,), "gelu", back)
 
@@ -452,17 +477,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", back)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout drawn from ``rng``; the identity when ``rng`` is None (evaluation)."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout drawn from ``rng``; the identity when ``rng`` is None (evaluation). If ``x``
+    packs the True rows of a padded grid's boolean mask ``rows``, the keep-mask is drawn at the
+    grid's shape and its True rows kept, so ``rng`` advances as for the padded tensor."""
     if rng is None or rate == 0.0:
         return x
-    keep = rng.random(x.shape) >= rate
-    scale = keep / (1.0 - rate)
+    keep = rng.random(x.shape if rows is None else (rows.size, *x.shape[1:])) >= rate
+    keep = keep if rows is None else keep[rows]
+    inv = 1.0 / (1.0 - rate)
 
     def back(g: np.ndarray) -> None:
-        x._accumulate(g * scale, True)
+        x._accumulate(g * keep * inv, True)
 
-    return _node(x.data * scale, (x,), "dropout", back)
+    return _node(x.data * keep * inv, (x,), "dropout", back)  # the bits of x * (keep / (1 - rate))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -25,19 +25,31 @@ def toy_encoder(vocab, layers=1, heads=2, hidden=8, ffn=16, seed=0, dropout=0.0)
 
 
 def full_sequence_cls(enc, batch):
-    """Every block over every position, then row 0: the CLS vector computed
-    without cutting the last block to position 0."""
-    p = enc.params
-    mask_add = (batch.attention_mask.astype(np.float64) - 1.0) * -MASK_NEG
-    x = enc.embed(batch)
+    """An independent padded reference: every block over every position of the
+    [B, n, d] batch, built from matmul, softmax and reshapes with an additive
+    key mask, then position 0."""
+    p, heads = enc.params, enc.config.heads
+    ids = batch.token_ids
+    b, n = ids.shape
+    d = enc.config.hidden
+    dk = d // heads
+    mask_add = T.tensor(((batch.attention_mask.astype(np.float64) - 1.0) * -MASK_NEG).reshape(b, 1, 1, n))
+
+    def affine(t, w, bias):
+        return T.matmul(t, p[w]) + p[bias]
+
+    def split(t):
+        return t.reshape(b, n, heads, dk).swapaxes(1, 2)
+
+    x = T.embedding(p["tok_emb"], ids) + T.embedding(p["pos_emb"], np.broadcast_to(np.arange(n), ids.shape))
     for i in range(enc.config.layers):
         xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-        q, k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "qkv")
-        ctx = T.attention(q, k, v, mask_add, enc.config.heads)
-        x = x + T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+        q, k, v = (split(affine(xn, f"l{i}.attn.w{c}", f"l{i}.attn.b{c}")) for c in "qkv")
+        probs = T.softmax(T.matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + mask_add)
+        ctx = T.matmul(probs, v).swapaxes(1, 2).reshape(b, n, d)
+        x = x + affine(ctx, f"l{i}.attn.wo", f"l{i}.attn.bo")
         yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-        hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
-        x = x + T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+        x = x + affine(T.gelu(affine(yn, f"l{i}.ffn.w1", f"l{i}.ffn.b1")), f"l{i}.ffn.w2", f"l{i}.ffn.b2")
     return x.data[:, 0]
 
 
@@ -46,7 +58,7 @@ class TestShapesAndDeterminism:
         batch, vocab = toy_batch(["one two three", "four"])
         enc = toy_encoder(vocab)
         out = enc.embed(batch)
-        assert out.shape == (2, 6, 8)
+        assert out.shape == (6, 8)  # packed: 4 + 2 real tokens of the [2, 6] batch
 
     def test_eval_forward_deterministic(self):
         batch, vocab = toy_batch(["alpha beta", "gamma"])
@@ -80,25 +92,24 @@ class TestShapesAndDeterminism:
 class TestMaskingAndNorm:
     @staticmethod
     def _qkv_and_mask(seed=0):
-        # batch row 1 has two padded keys at positions 2 and 3
+        # batch row 1 has two padded slots at positions 2 and 3, so 6 packed rows
         rng = np.random.default_rng(seed)
-        qkv = [rng.normal(size=(2, 4, 8)) for _ in range(3)]
-        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
-        return qkv, (mask - 1.0) * -MASK_NEG
+        qkv = [rng.normal(size=(6, 8)) for _ in range(3)]
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
+        return qkv, mask.reshape(-1) != 0, (mask - 1.0) * -MASK_NEG
 
     def test_masked_keys_get_zero_attention(self):
-        (q, k, v), mask_add = self._qkv_and_mask()
-        base = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), mask_add, 2).data
-        k2, v2 = k.copy(), v.copy()
-        k2[1, 2:] += 50.0
-        v2[1, 2:] = -1e3
-        moved = T.attention(T.tensor(q), T.tensor(k2), T.tensor(v2), mask_add, 2).data
-        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-9)
+        # row 1 attends as if alone in an unpadded batch of width 2
+        (q, k, v), real, mask_add = self._qkv_and_mask()
+        both = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), real, mask_add, 2).data
+        unpadded = np.ones(2, dtype=bool)
+        alone = T.attention(T.tensor(q[4:]), T.tensor(k[4:]), T.tensor(v[4:]), unpadded, np.zeros((1, 2)), 2)
+        np.testing.assert_allclose(both[4:], alone.data, rtol=0, atol=1e-15)
 
     def test_attention_rows_sum_to_one(self):
         # with v = 1 every context row is the sum of that query's probabilities
-        (q, k, _), mask_add = self._qkv_and_mask(1)
-        out = T.attention(T.tensor(q), T.tensor(k), T.ones(2, 4, 8), mask_add, 2)
+        (q, k, _), real, mask_add = self._qkv_and_mask(1)
+        out = T.attention(T.tensor(q), T.tensor(k), T.ones(6, 8), real, mask_add, 2)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
     def test_layer_norm_statistics(self):
@@ -112,8 +123,8 @@ class TestMaskingAndNorm:
         batch, vocab = toy_batch(["x y z"])
         enc = toy_encoder(vocab, layers=0)
         h0 = enc.embed(batch)
-        out = enc.encode(h0, batch.attention_mask)
-        np.testing.assert_array_equal(out.data, h0.data[:, 0])
+        out = enc.encode(h0, batch)
+        np.testing.assert_array_equal(out.data, h0.data[batch.cls])
 
 
 class TestClsPool:
@@ -160,7 +171,46 @@ class TestClsPool:
         monkeypatch.setattr(T, "gelu", recording_gelu)
         batch, vocab = toy_batch(["p q r", "s"], max_len=5)
         toy_encoder(vocab, layers=2).forward(batch)
-        assert shapes == [(2, 5, 16), (2, 1, 16)]
+        assert shapes == [(6, 16), (2, 16)]  # the 4 + 2 real tokens, then the 2 CLS rows
+
+    def test_cls_alone_equals_cls_in_padded_batch(self):
+        texts = ["a b c d e f", "g", "h i", "j k l"]
+        examples = [LabeledExample(text=t, emotion=0) for t in texts]
+        vocab = build_vocab(examples, min_freq=1)
+        enc = toy_encoder(vocab, layers=2)
+        rng = np.random.default_rng(7)
+        for tensor in enc.params.values():
+            tensor.data[...] = rng.normal(0.0, 0.5, tensor.shape)
+        together = enc.forward(encode_batch(examples, vocab, 9)).data
+        for row, ex in enumerate(examples):
+            alone = enc.forward(encode_batch([ex], vocab, len(ex.tokens) + 1)).data
+            np.testing.assert_allclose(alone[0], together[row], rtol=0, atol=1e-12)
+
+    def test_no_padded_row_reaches_a_gemm(self, monkeypatch):
+        # a mid-shaped step: texts of different lengths, dropout on, forward and backward
+        rows, linear, rows_matmul = [], T.linear, T._rows_matmul
+
+        def recording_linear(x, w, b):
+            rows.append(x.data.reshape(-1, x.shape[-1]).shape[0])
+            return linear(x, w, b)
+
+        def recording_rows_matmul(a, w):
+            rows.append(a.shape[0])
+            return rows_matmul(a, w)
+
+        monkeypatch.setattr(T, "linear", recording_linear)
+        monkeypatch.setattr(T, "_rows_matmul", recording_rows_matmul)
+        texts = ["a b c d e f g", "h", "i j k", "l m n o p"]
+        batch, vocab = toy_batch(texts, max_len=8)
+        tokens = int(batch.attention_mask.sum())
+        enc = toy_encoder(vocab, layers=3, dropout=0.2)
+        out = enc.forward(batch, rng=np.random.default_rng(0))
+        T.backward((out * out).sum())
+        # blocks 0-1: q, k, v, o, w1, w2 over the tokens; block 2: k and v over the
+        # tokens, q, o, w1, w2 over the 4 CLS rows. Each linear is recorded with its
+        # forward and its input-gradient product.
+        assert tokens == 20 < batch.attention_mask.size
+        assert sorted(rows) == sorted([tokens] * 3 * 14 + [4] * 3 * 4)
 
 
 class TestConfigValidation:
@@ -186,7 +236,7 @@ class TestNumericGuards:
 
 class TestEncoderGradients:
     def test_full_forward_finite_difference_every_parameter(self):
-        # with two layers, block 0 runs on every position and block 1 on the CLS row only
+        # with two layers, block 0 runs on every real token and block 1 on the CLS rows only
         batch, vocab = toy_batch(["u v w x", "y z"], max_len=5)
         rng = np.random.default_rng(2)
         weights = T.tensor(rng.normal(size=(2, 8)))

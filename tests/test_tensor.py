@@ -292,10 +292,13 @@ class TestLinear:
 
     rng = np.random.default_rng(12)
 
+    # blocks of 48 multiply-adds are 4 rows of a [.., 4] @ [4, 3] product: 5, 11 and 15 rows leave a
+    # remainder, 8 rows do not, and 3 rows fit in one block
     @pytest.mark.parametrize("min_macs", [0, 1 << 62], ids=["2d_gemm", "stacked"])
-    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (11, 4), (8, 4), (3, 4), (3, 5, 4)])
     def test_matches_matmul_plus_bias(self, x_shape, min_macs, monkeypatch):
         monkeypatch.setattr(T, "_GEMM_2D_MIN_MACS", min_macs)
+        monkeypatch.setattr(T, "_BLOCK_MACS", 48)
         arrays = [self.rng.normal(size=x_shape), self.rng.normal(size=(4, 3)), self.rng.normal(size=3)]
         upstream = self.rng.normal(size=x_shape[:-1] + (3,))
         fused = _grads(T.linear, _fresh(arrays, [True] * 3), upstream)
@@ -333,73 +336,100 @@ def _unfused_attention(q, k, v, mask_add, heads):
 
 
 class TestAttention:
-    """``attention`` equals the unfused composition, values and gradients."""
+    """``attention`` over packed rows equals the unfused composition over the padded batch, values and gradients."""
 
     rng = np.random.default_rng(13)
-    # row 1 pads its last two keys, row 2 pads one
-    mask_add = (np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64) - 1.0) * 1e9
+    # row 1 pads its last two slots, row 2 pads one: 9 of the 12 slots hold a token
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]])
+    real = mask.reshape(-1) != 0
+    cls = np.array([0, 4, 6])  # each sample's slot 0 among the 9 packed rows
+    mask_add = (mask - 1.0) * 1e9
 
     def _qkv(self):
-        return [self.rng.normal(size=(3, 4, 6)) for _ in range(3)]
+        return [self.rng.normal(size=(9, 6)) for _ in range(3)]
+
+    def _padded(self, rows):
+        grid = np.zeros((12,) + rows.shape[1:])
+        grid[self.real] = rows
+        return grid.reshape(3, 4, -1)
+
+    def _attend(self, q, k, v, heads=2):
+        return T.attention(q, k, v, self.real, self.mask_add, heads)
 
     @pytest.mark.parametrize(
         "requires", [(True, True, True), (True, False, False), (False, True, False), (False, False, True)]
     )
     def test_matches_unfused_composition(self, requires):
+        # the upstream gradient is zero at pad slots, so the padded reference's pad
+        # rows neither reach the result nor get a gradient
         arrays = self._qkv()
-        upstream = self.rng.normal(size=(3, 4, 6))
-        fused = _grads(lambda q, k, v: T.attention(q, k, v, self.mask_add, 2), _fresh(arrays, requires), upstream)
+        upstream = self.rng.normal(size=(9, 6))
+        fused = _grads(self._attend, _fresh(arrays, requires), upstream)
         unfused = _grads(
-            lambda q, k, v: _unfused_attention(q, k, v, self.mask_add, 2), _fresh(arrays, requires), upstream
+            lambda q, k, v: _unfused_attention(q, k, v, self.mask_add, 2),
+            _fresh([self._padded(a) for a in arrays], requires), self._padded(upstream),
         )
-        np.testing.assert_allclose(fused[0], unfused[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused[0], unfused[0].reshape(12, 6)[self.real], rtol=0, atol=1e-12)
         for got, want, needed in zip(fused[1], unfused[1], requires):
             if needed:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, want.reshape(12, 6)[self.real], rtol=0, atol=1e-12)
+                assert not want.reshape(12, 6)[~self.real].any()
             else:
                 assert got is None and want is None
 
     def test_finite_differences_every_input(self):
         q, k, v = _fresh(self._qkv(), [True] * 3)
-        up = T.tensor(self.rng.normal(size=(3, 4, 6)))
-        _check(lambda t: (T.attention(t, k, v, self.mask_add, 3) * up).sum(), q)
-        _check(lambda t: (T.attention(q, t, v, self.mask_add, 3) * up).sum(), k)
-        _check(lambda t: (T.attention(q, k, t, self.mask_add, 3) * up).sum(), v)
+        up = T.tensor(self.rng.normal(size=(9, 6)))
+        _check(lambda t: (self._attend(t, k, v, 3) * up).sum(), q)
+        _check(lambda t: (self._attend(q, t, v, 3) * up).sum(), k)
+        _check(lambda t: (self._attend(q, k, t, 3) * up).sum(), v)
 
     def test_one_query_equals_row_zero_of_all_queries(self):
         q, k, v = self._qkv()
-        full = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 2).data
-        first = T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v), self.mask_add, 2)
-        assert first.shape == (3, 1, 6)
-        np.testing.assert_allclose(first.data, full[:, :1], rtol=0, atol=1e-15)
+        full = self._attend(T.tensor(q), T.tensor(k), T.tensor(v)).data
+        first = self._attend(T.tensor(q[self.cls]), T.tensor(k), T.tensor(v))
+        assert first.shape == (3, 6)
+        np.testing.assert_allclose(first.data, full[self.cls], rtol=0, atol=1e-15)
 
     def test_finite_differences_one_query_over_four_keys(self):
-        # m = 1, n = 4; rows 1 and 2 of the batch pad some keys
-        q, k, v = _fresh([self.rng.normal(size=(3, m, 6)) for m in (1, 4, 4)], [True] * 3)
-        up = T.tensor(self.rng.normal(size=(3, 1, 6)))
-        _check(lambda t: (T.attention(t, k, v, self.mask_add, 3) * up).sum(), q)
-        _check(lambda t: (T.attention(q, t, v, self.mask_add, 3) * up).sum(), k)
-        _check(lambda t: (T.attention(q, k, t, self.mask_add, 3) * up).sum(), v)
-        assert q.grad.shape == (3, 1, 6) and k.grad.shape == v.grad.shape == (3, 4, 6)
+        # one query row per sample; rows 1 and 2 of the batch pad some keys
+        q, k, v = _fresh([self.rng.normal(size=(m, 6)) for m in (3, 9, 9)], [True] * 3)
+        up = T.tensor(self.rng.normal(size=(3, 6)))
+        _check(lambda t: (self._attend(t, k, v, 3) * up).sum(), q)
+        _check(lambda t: (self._attend(q, t, v, 3) * up).sum(), k)
+        _check(lambda t: (self._attend(q, k, t, 3) * up).sum(), v)
+        assert q.grad.shape == (3, 6) and k.grad.shape == v.grad.shape == (9, 6)
+
+    def test_unpadded_batch_is_its_rows(self):
+        # without padding the packed rows are the grid itself
+        q, k, v = (self.rng.normal(size=(3, 4, 6)) for _ in range(3))
+        got = T.attention(T.tensor(q.reshape(12, 6)), T.tensor(k.reshape(12, 6)), T.tensor(v.reshape(12, 6)),
+                          np.ones(12, dtype=bool), np.zeros((3, 4)), 2)
+        want = _unfused_attention(T.tensor(q), T.tensor(k), T.tensor(v), np.zeros((3, 4)), 2)
+        np.testing.assert_allclose(got.data, want.data.reshape(12, 6), rtol=0, atol=1e-12)
 
     def test_nonfinite_scores_rejected(self):
         q, k, v = self._qkv()
-        q[0, 1, 2] = np.inf
+        q[1, 2] = np.inf
         with pytest.raises(NumericError, match="non-finite logits"):
-            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 2)
+            self._attend(T.tensor(q), T.tensor(k), T.tensor(v))
 
     def test_shape_mismatch_rejected(self):
-        q, k, v = self._qkv()
+        q, k, v = (T.tensor(a) for a in self._qkv())
         with pytest.raises(ShapeError):
-            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add, 4)
-        with pytest.raises(ShapeError):
-            T.attention(T.tensor(q), T.tensor(k), T.tensor(v), self.mask_add[:2], 2)
+            self._attend(q, k, v, 4)
+        with pytest.raises(ShapeError):  # a mask for 2 of the 3 samples
+            T.attention(q, k, v, self.real[:8], self.mask_add[:2], 2)
         with pytest.raises(ShapeError):  # keys and values of different lengths
-            T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v[:, :3]), self.mask_add, 2)
-        with pytest.raises(ShapeError):  # a mask over the 1 query, not the 4 keys
-            T.attention(T.tensor(q[:, :1]), T.tensor(k), T.tensor(v), self.mask_add[:, :1], 2)
+            self._attend(q, k, T.tensor(v.data[:8]))
+        with pytest.raises(ShapeError):  # a real mask with another token count than the keys
+            T.attention(q, k, v, np.ones(12, dtype=bool), self.mask_add, 2)
+        with pytest.raises(ShapeError):  # queries neither packed nor one per sample
+            self._attend(T.tensor(q.data[:4]), k, v)
         with pytest.raises(ShapeError):  # queries of another width than the keys
-            T.attention(T.tensor(q[..., :4]), T.tensor(k), T.tensor(v), self.mask_add, 2)
+            self._attend(T.tensor(q.data[:, :4]), k, v)
+        with pytest.raises(ShapeError):  # padded [B, n, d] keys
+            T.attention(q, T.tensor(self._padded(k.data)), T.tensor(self._padded(v.data)), self.real, self.mask_add, 2)
 
 
 class TestGradientOwnership:
@@ -570,6 +600,14 @@ class TestPrimitiveGradients:
         assert out is x
         _check(lambda t: T.dropout(t, 0.5, None).sum(), x)
 
+    def test_dropout_packed_rows_draw_the_padded_stream(self):
+        # the keep-mask of the rows a [3, 4] grid packs is that grid's mask at those rows
+        real = np.array([1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
+        x = self.rng.normal(size=(12, 5))
+        padded = T.dropout(T.tensor(x), 0.3, np.random.default_rng(9)).data
+        packed = T.dropout(T.tensor(x[real]), 0.3, np.random.default_rng(9), real).data
+        assert packed.tobytes() == padded[real].tobytes()
+
     def test_dropout_train_gradient(self):
         x = T.tensor(self.rng.normal(size=(5, 5)), requires_grad=True)
 
@@ -667,6 +705,44 @@ class TestLayerNormReference:
         want = (x - mu) * (1.0 / np.sqrt(var + T.LAYERNORM_EPS)) * gain + bias
         got = T.layer_norm(T.tensor(x), T.tensor(gain), T.tensor(bias)).data
         assert got.tobytes() == want.tobytes()
+
+
+class TestBitwiseFormulas:
+    """Dropout's boolean mask and GELU's in-place passes give the bits of the plain formulas."""
+
+    rng = np.random.default_rng(16)
+    # signed zeros, a subnormal, huge values and infinities beside normal draws
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("rate", [0.1, 0.15, 0.5, 0.9])
+    def test_dropout_keep_mask_equals_float_scale(self, rate):
+        x = np.concatenate([self.rng.normal(size=(40, 8)), np.tile(self.special, (5, 1))])
+        keep = np.random.default_rng(4).random(x.shape) >= rate
+        assert keep.any() and not keep.all()
+        scale = keep / (1.0 - rate)  # the float64 scale formula
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 / (1 - rate) and inf * 0, in both
+            want = x * scale
+            got = T.dropout(T.tensor(x), rate, np.random.default_rng(4)).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_dropout_gradient_equals_float_scale(self):
+        rate = 0.3
+        x = T.tensor(self.rng.normal(size=(6, 7)), requires_grad=True)
+        g = np.concatenate([self.rng.normal(size=(5, 7)), self.special[:7][None]])
+        scale = (np.random.default_rng(8).random(x.shape) >= rate) / (1.0 - rate)
+        T.backward((T.dropout(x, rate, np.random.default_rng(8)) * T.tensor(g)).sum())
+        assert x.grad.tobytes() == (g * scale).tobytes()
+
+    def test_gelu_in_place_equals_formula(self):
+        x = np.concatenate([self.rng.normal(0.0, 3.0, 4000), self.special[:4], [-40.0, 40.0]])
+        g = self.rng.normal(size=x.size)
+        t = T.tensor(x, requires_grad=True)
+        out = T.gelu(t)
+        T.backward((out * T.tensor(g)).sum())
+        cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        assert out.data.tobytes() == (x * cdf).tobytes()
+        assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
 
 
 class TestGather:
