@@ -2,7 +2,7 @@
 
 from .affect import AffectSchema, LossWeights
 from .data import MHLabelSchema, Vocabulary, build_vocab, load_corpus, load_mh_corpus
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, Model
 from .heads import EmotionModel
 from .mh import MHModel
 from .training import TrainConfig, evaluate, train
@@ -19,6 +19,7 @@ __all__ = [
     "load_mh_corpus",
     "Encoder",
     "EncoderConfig",
+    "Model",
     "EmotionModel",
     "MHModel",
     "TrainConfig",

@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
             task=cfg.task,
             encoder_config=cfg.encoder,
             train_config=cfg.train,
-            loss_weights=model.weights,
+            loss_weights=model.head.loss_weights,
             vocab=vocab,
             schema_json=schema.to_jsonable(),
             epoch=result.best_index + 1,

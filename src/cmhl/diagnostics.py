@@ -18,8 +18,8 @@ from .affect import AffectSchema, LossWeights
 from .data import LabeledExample, MHLabelSchema, build_vocab, encode_batch
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .heads import EmotionModel, emotion_head_params, emotion_heads_forward, exclusivity_loss, task_loss, total_loss
-from .mh import MHModel, mh_head_params, mh_loss, mh_predict
+from .heads import EmotionModel, emotion_heads_forward, exclusivity_loss, task_loss, total_loss
+from .mh import MHModel, mh_head_params, mh_loss
 
 TOLERANCE = 1e-4
 
@@ -49,13 +49,13 @@ def _loss_suite():
     rng = np.random.default_rng(100)
     d = 8
     h_cls = T.tensor(rng.normal(size=(2, d)))
-    heads = emotion_head_params(6, d, rng)
+    weights = LossWeights()
+    heads = EmotionModel(schema, weights).params(d, rng)
     labels = {
         "primary": np.array([1, 0]),
         "valence": np.array([0, 1]),
         "intensity": np.array([0, 1]),
     }
-    weights = LossWeights()
     logits = T.tensor(rng.normal(size=(2, 6)))
     mh = mh_head_params(5, d, rng, gate_dim=6)
     labels_m = np.array([2, 0])
@@ -63,7 +63,7 @@ def _loss_suite():
     h_mh = T.tensor(rng.normal(size=(2, d)))
 
     def mh_objective(_t):
-        pred = mh_predict(h_mh, mh)
+        pred = MHModel(MHLabelSchema()).forward(h_mh, mh)
         return mh_loss(pred.z_final, pred.z_s, labels_m, labels_s, mh)
 
     return [
@@ -95,10 +95,10 @@ def _gate_suite():
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     labels = MHLabelSchema()
     model = MHModel.build(cfg, len(vocab), labels, seed=102)
-    model.heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
+    model.head_params = heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
     with T.no_grad():  # no head parameter reaches the encoder, so its CLS vector is a constant
         h_cls = model.encoder.forward(batch)
-    return [("gate_mh_loss", model.heads, lambda _t: model.loss(mh_predict(h_cls, model.heads), batch))]
+    return [("gate_mh_loss", heads, lambda _t: model.loss(model.head.forward(h_cls, heads), batch))]
 
 
 # an objective ignores its argument: it reads its targets, which the check perturbs in place

@@ -109,3 +109,26 @@ class Encoder:
 
     def forward(self, batch: Batch, *, rng=None) -> T.Tensor:
         return self.encode(self.embed(batch, rng=rng), batch, rng=rng)
+
+
+@dataclass
+class Model:
+    """The encoder under one task's head record (``heads.EmotionModel`` or ``mh.MHModel``) and its parameters."""
+
+    encoder: Encoder
+    head: object
+    head_params: dict[str, T.Tensor]
+
+    @classmethod
+    def build(cls, config: EncoderConfig, vocab_size: int, head, seed: int) -> "Model":
+        rng = np.random.default_rng([seed, head.stream])  # the encoder draws first, then the head
+        return cls(Encoder(config, vocab_size, rng), head, head.params(config.hidden, rng))
+
+    def parameters(self) -> dict[str, T.Tensor]:
+        return {**self.encoder.parameters(), **self.head_params}
+
+    def forward(self, batch: Batch, *, rng=None):
+        return self.head.forward(self.encoder.forward(batch, rng=rng), self.head_params)
+
+    def loss(self, preds, batch: Batch) -> T.Tensor:
+        return self.head.loss(preds, batch, self.head_params)

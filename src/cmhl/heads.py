@@ -3,35 +3,25 @@
 Three heads share the encoder's CLS vector and return logits. The objective
 is the label-balanced sum of their softmax cross-entropies plus a hinge
 penalty whenever an opposing (positive, negative) emotion pair's primary-head
-probabilities sum past that pair's threshold.
+probabilities sum past that pair's threshold. ``EmotionModel`` is the task's
+head record; its ``build`` returns the ``encoder.Model`` that runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .affect import AffectSchema, LossWeights
 from .data import UNLABELED, Batch
-from .encoder import Encoder
+from .encoder import Model
 from .errors import DataError, ShapeError
 
 N_VALENCE = 3
 N_INTENSITY = 2
-
-
-def emotion_head_params(num_emotions: int, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
-    """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""
-    return {
-        "head.w_e": T.param((hidden, num_emotions), rng),
-        "head.b_e": T.zeros(num_emotions, requires_grad=True),
-        "head.w_v": T.param((hidden, N_VALENCE), rng),
-        "head.b_v": T.zeros(N_VALENCE, requires_grad=True),
-        "head.w_i": T.param((hidden, N_INTENSITY), rng),
-        "head.b_i": T.zeros(N_INTENSITY, requires_grad=True),
-    }
 
 
 @dataclass
@@ -78,43 +68,35 @@ def total_loss(
     return task_loss(preds, labels, weights) + weights.lambda_excl * exclusivity_loss(preds.p_e, schema)
 
 
+@dataclass(frozen=True)
 class EmotionModel:
-    """Encoder plus the three emotion heads and the composite objective."""
+    """The emotion task's head record: the three heads and the composite objective under ``Model``."""
 
-    task = "emotion"
-
-    def __init__(self, encoder: Encoder, heads: dict[str, T.Tensor], schema: AffectSchema, weights: LossWeights):
-        self.encoder = encoder
-        self.heads = heads
-        self.schema = schema
-        self.weights = weights
+    schema: AffectSchema
+    loss_weights: LossWeights
+    stream: ClassVar[int] = 1  # the model's seeded parameter stream
 
     @classmethod
-    def build(
-        cls,
-        encoder_config,
-        vocab_size: int,
-        schema: AffectSchema,
-        weights: LossWeights,
-        seed: int,
-    ) -> "EmotionModel":
-        rng = np.random.default_rng([seed, 1])
-        encoder = Encoder(encoder_config, vocab_size, rng)
-        heads = emotion_head_params(len(schema.taxonomy), encoder_config.hidden, rng)
-        return cls(encoder, heads, schema, weights)
+    def build(cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int) -> Model:
+        return Model.build(encoder_config, vocab_size, cls(schema, weights), seed)
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return {**self.encoder.parameters(), **self.heads}
+    def params(self, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+        """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""
+        k = len(self.schema.taxonomy)
+        return {
+            "head.w_e": T.param((hidden, k), rng),
+            "head.b_e": T.zeros(k, requires_grad=True),
+            "head.w_v": T.param((hidden, N_VALENCE), rng),
+            "head.b_v": T.zeros(N_VALENCE, requires_grad=True),
+            "head.w_i": T.param((hidden, N_INTENSITY), rng),
+            "head.b_i": T.zeros(N_INTENSITY, requires_grad=True),
+        }
 
-    @property
-    def num_primary_classes(self) -> int:
-        return len(self.schema.taxonomy)
+    def forward(self, h_cls: T.Tensor, params: dict[str, T.Tensor]) -> EmotionPrediction:
+        return emotion_heads_forward(h_cls, params)
 
-    def forward(self, batch: Batch, *, rng=None) -> EmotionPrediction:
-        return emotion_heads_forward(self.encoder.forward(batch, rng=rng), self.heads)
+    def loss(self, preds: EmotionPrediction, batch: Batch, params: dict[str, T.Tensor]) -> T.Tensor:
+        return total_loss(preds, batch.labels, self.loss_weights, self.schema)
 
-    def loss(self, preds: EmotionPrediction, batch: Batch) -> T.Tensor:
-        return total_loss(preds, batch.labels, self.weights, self.schema)
-
-    def primary_probs(self, preds: EmotionPrediction) -> T.Tensor:
+    def probs(self, preds: EmotionPrediction) -> T.Tensor:
         return preds.p_e

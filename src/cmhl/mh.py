@@ -5,19 +5,21 @@ Both heads read the shared CLS vector. A small bottleneck network turns their
 concatenated probabilities into two gate weights that rescale the diagnosis
 and severity blocks before the fused head. The severity and fused heads
 return logits; the severity term's loss weight is a learnable scalar kept
-positive through softplus.
+positive through softplus. ``MHModel`` is the task's head record; its
+``build`` returns the ``encoder.Model`` that runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .data import UNLABELED, Batch, MHLabelSchema
-from .encoder import Encoder
+from .encoder import Model
 from .errors import DataError, ShapeError
 
 GATE_DIM = 128
@@ -89,15 +91,6 @@ def final_prediction(fused: T.Tensor, params: dict[str, T.Tensor]) -> T.Tensor:
     return T.linear(fused, params["mh.fuse.w"], params["mh.fuse.b"])
 
 
-def mh_predict(h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:
-    """Both heads, the gate, the gated fusion and the final head on the CLS vector."""
-    p_m, z_s = mh_heads_forward(h_cls, params)
-    features = T.concat([p_m, T.softmax(z_s)])
-    gate = gate_weights(features, params)
-    fused = gated_fusion_product(features, gate, (p_m.shape[1], z_s.shape[1]))
-    return MHPrediction(z_s=z_s, z_final=final_prediction(fused, params))
-
-
 def effective_beta(params: dict[str, T.Tensor]) -> T.Tensor:
     return T.softplus(params["mh.beta_raw"])
 
@@ -125,40 +118,31 @@ def mh_loss(
     return loss
 
 
+@dataclass(frozen=True)
 class MHModel:
-    """Encoder plus the gated mental-health heads."""
+    """The mental-health task's head record: the gated heads and the adaptive-weight loss under ``Model``."""
 
-    task = "mental_health"
-    weights = None  # no fixed loss weights: the severity weight is learned
-
-    def __init__(self, encoder: Encoder, heads: dict[str, T.Tensor], labels: MHLabelSchema):
-        self.encoder = encoder
-        self.heads = heads
-        self.labels = labels
+    schema: MHLabelSchema
+    loss_weights: ClassVar[None] = None  # no fixed loss weights: the severity weight is learned
+    stream: ClassVar[int] = 2  # the model's seeded parameter stream
 
     @classmethod
-    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int) -> "MHModel":
-        rng = np.random.default_rng([seed, 2])
-        encoder = Encoder(encoder_config, vocab_size, rng)
-        heads = mh_head_params(
-            len(labels.categories), encoder_config.hidden, rng, severity_levels=labels.severity_levels
-        )
-        return cls(encoder, heads, labels)
+    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int) -> Model:
+        return Model.build(encoder_config, vocab_size, cls(labels), seed)
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return {**self.encoder.parameters(), **self.heads}
+    def params(self, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+        return mh_head_params(len(self.schema.categories), hidden, rng, severity_levels=self.schema.severity_levels)
 
-    @property
-    def num_primary_classes(self) -> int:
-        return len(self.labels.categories)
+    def forward(self, h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:
+        """Both heads, the gate, the gated fusion and the final head on the CLS vector."""
+        p_m, z_s = mh_heads_forward(h_cls, params)
+        features = T.concat([p_m, T.softmax(z_s)])
+        gate = gate_weights(features, params)
+        fused = gated_fusion_product(features, gate, (p_m.shape[1], z_s.shape[1]))
+        return MHPrediction(z_s=z_s, z_final=final_prediction(fused, params))
 
-    def forward(self, batch: Batch, *, rng=None) -> MHPrediction:
-        return mh_predict(self.encoder.forward(batch, rng=rng), self.heads)
+    def loss(self, preds: MHPrediction, batch: Batch, params: dict[str, T.Tensor]) -> T.Tensor:
+        return mh_loss(preds.z_final, preds.z_s, batch.labels["primary"], batch.labels["intensity"], params)
 
-    def loss(self, preds: MHPrediction, batch: Batch) -> T.Tensor:
-        return mh_loss(
-            preds.z_final, preds.z_s, batch.labels["primary"], batch.labels["intensity"], self.heads
-        )
-
-    def primary_probs(self, preds: MHPrediction) -> T.Tensor:
+    def probs(self, preds: MHPrediction) -> T.Tensor:
         return T.softmax(preds.z_final)

@@ -307,7 +307,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, real: np.ndarray, mask_add: np.nd
         return rows[real] if grid and padded else rows
 
     qh, kh, vh = split(q.data, packed), split(k.data, True), split(v.data, True)
-    probs = np.matmul(qh, kh.swapaxes(-1, -2))
+    with np.errstate(invalid="ignore"):  # inf * 0 at a pad slot is nan: the finiteness check raises
+        probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
     probs += mask_add.reshape(batch, 1, 1, n)
     if not np.isfinite(probs).all():

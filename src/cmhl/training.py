@@ -34,7 +34,7 @@ from .data import (
     load_mh_corpus,
     split_examples,
 )
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, Model
 from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
 from .heads import EmotionModel
 from .mh import MHModel
@@ -202,7 +202,7 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, lr: float) -> float:
 # -- evaluation ----------------------------------------------------------------
 
 
-def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig):
+def predict(model: Model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig):
     """Argmax predictions and max-probability confidences, in input order.
 
     Eval mode without a graph. Batches are taken in order of token count
@@ -228,7 +228,7 @@ def predict(model, examples: list[LabeledExample], vocab: Vocabulary, config: Tr
                         idx = pending.pop() if from_long_end else pending.popleft()
                     chunk = [examples[i] for i in idx]
                     batch = encode_batch(chunk, vocab, batch_width(chunk, config.max_seq_len))
-                    probs = model.primary_probs(model.forward(batch)).data
+                    probs = model.head.probs(model.forward(batch)).data
                     preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
         except BaseException as exc:  # raised in the caller once the helper has ended
             with lock:
@@ -257,13 +257,12 @@ def _f1_recall(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int):
     return float(np.mean(f1s)), tuple(recalls)
 
 
-def score(model, examples: list[LabeledExample], y_pred: np.ndarray, confs: np.ndarray) -> Metrics:
+def score(model: Model, examples: list[LabeledExample], y_pred: np.ndarray, confs: np.ndarray) -> Metrics:
     """Metrics of predictions made by ``predict`` against the examples' labels."""
     if not examples:
         raise DataError("evaluation requires a non-empty example set")
     y_true = np.array([ex.emotion for ex in examples])
-    num_classes = model.num_primary_classes
-    macro_f1, recalls = _f1_recall(y_true, y_pred, num_classes)
+    macro_f1, recalls = _f1_recall(y_true, y_pred, len(model.head.schema.names))
     mean_conf = float(confs.mean())
     return Metrics(
         macro_f1=macro_f1,
@@ -274,11 +273,11 @@ def score(model, examples: list[LabeledExample], y_pred: np.ndarray, confs: np.n
     )
 
 
-def evaluate(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> Metrics:
+def evaluate(model: Model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> Metrics:
     return score(model, examples, *predict(model, examples, vocab, config))
 
 
-def accuracy(model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> float:
+def accuracy(model: Model, examples: list[LabeledExample], vocab: Vocabulary, config: TrainConfig) -> float:
     y_pred, _ = predict(model, examples, vocab, config)
     y_true = np.array([ex.emotion for ex in examples])
     return float(np.mean(y_pred == y_true))
@@ -310,7 +309,7 @@ class TrainResult:
 
 
 def train(
-    model,
+    model: Model,
     vocab: Vocabulary,
     corpus: list[LabeledExample],
     config: TrainConfig,
@@ -530,7 +529,7 @@ class Task:
     ``load(path, schema)`` returns a corpus's examples; it looks the loader up
     by name at each call, so a wrapper installed on the module global is seen.
     ``build(encoder_config, vocab_size, schema, loss_weights, seed)`` returns
-    a fresh model.
+    a fresh ``Model`` under the task's head record.
     """
 
     schema_type: type
@@ -559,15 +558,14 @@ TASKS = {
 }
 
 
-def model_from_checkpoint(ckpt: Checkpoint):
+def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     """Rebuild the model named by the checkpoint and load its tensors."""
     cfg = ckpt.encoder_config  # a floor on the model's size (embeddings, blocks, heads), checked before allocating
     heads = len(ckpt.schema.names) + getattr(ckpt.schema, "severity_levels", 0)  # the mental-health severity head
     floor = (len(ckpt.vocab) + cfg.max_positions + cfg.layers * (4 * cfg.hidden + 2 * cfg.ffn_dim) + heads) * cfg.hidden
     if floor > sum(t.size for t in ckpt.tensors.values()):
         raise DataError(f"the encoder config needs at least {floor} parameters, more than the checkpoint holds")
-    weights = ckpt.loss_weights or LossWeights()
-    model = TASKS[ckpt.task].build(ckpt.encoder_config, len(ckpt.vocab), ckpt.schema, weights, 0)
+    model = TASKS[ckpt.task].build(cfg, len(ckpt.vocab), ckpt.schema, ckpt.loss_weights or LossWeights(), 0)
 
     params = model.parameters()
     missing = set(params) ^ set(ckpt.tensors)

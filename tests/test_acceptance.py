@@ -272,10 +272,10 @@ def test_c9_persistence(default_schema, tmp_path):
 
     save_checkpoint(
         Checkpoint(
-            task=model.task,
+            task="emotion",
             encoder_config=cfg,
             train_config=config,
-            loss_weights=model.weights,
+            loss_weights=model.head.loss_weights,
             vocab=vocab,
             schema_json=default_schema.to_jsonable(),
             epoch=2,

@@ -548,8 +548,8 @@ class TestTrainMentalHealth:
 
         ckpt = load_checkpoint(tmp_path / "run" / "checkpoint")
         model = model_from_checkpoint(ckpt)
-        assert model.labels == labels
-        assert model.heads["mh.w_m"].shape[1] == 3 and model.heads["mh.w_s"].shape[1] == 4
+        assert model.head.schema == labels
+        assert model.head_params["mh.w_m"].shape[1] == 3 and model.head_params["mh.w_s"].shape[1] == 4
         params = model.parameters()
         assert set(params) == set(ckpt.tensors)
         for name, tensor in params.items():
@@ -720,7 +720,7 @@ class TestEval:
         write_corpus_jsonl(tmp_path / "long.jsonl", examples, default_schema)
         save_checkpoint(
             Checkpoint(task="emotion", encoder_config=model.encoder.config, train_config=config,
-                       loss_weights=model.weights, vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=0,
+                       loss_weights=model.head.loss_weights, vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=0,
                        metrics=None, tensors={k: v.data for k, v in model.parameters().items()}),
             tmp_path / "checkpoint",
         )

@@ -1,12 +1,16 @@
-"""Encoder shapes, masking, normalization, determinism, and gradients."""
+"""Encoder shapes, masking, normalization, determinism, and gradients; the Model built on it."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from cmhl import tensor as T
+from cmhl.affect import LossWeights
 from cmhl.data import LabeledExample, build_vocab, encode_batch
-from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig
+from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig, Model
 from cmhl.errors import ConfigError, ShapeError
+from cmhl.training import TASKS
 
 
 def toy_batch(texts, max_len=6, labels=None):
@@ -246,3 +250,25 @@ class TestEncoderGradients:
             for name, tensor in enc.params.items():
                 err = T.finite_diff_check(lambda _t: (enc.forward(batch) * weights).sum(), tensor)
                 assert err < 1e-4, f"layers={layers} {name}: finite-difference error {err:.3e}"
+
+
+class TestModel:
+    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
+    def test_both_tasks_build_the_one_model_type(self, task):
+        """A task's ``build`` returns a ``Model`` under its frozen head record,
+        whose parameters come from the head's seeded stream: encoder first, then head."""
+        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8)
+        schema = TASKS[task].schema(None)
+        model = TASKS[task].build(cfg, 10, schema, LossWeights(), 3)
+        assert type(model) is Model and model.head.schema is schema
+        assert model.head.stream == {"emotion": 1, "mental_health": 2}[task]
+        assert model.head.loss_weights == (LossWeights() if task == "emotion" else None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.head.schema = schema
+        params = model.parameters()
+        rng = np.random.default_rng([3, model.head.stream])
+        encoder = Encoder(cfg, 10, rng)
+        want = {**encoder.parameters(), **model.head.params(8, rng)}
+        assert list(params) == list(want) == [*model.encoder.parameters(), *model.head_params]
+        for name, tensor in want.items():
+            np.testing.assert_array_equal(params[name].data, tensor.data, err_msg=name)

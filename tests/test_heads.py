@@ -15,7 +15,6 @@ from cmhl.errors import DataError
 from cmhl.heads import (
     EmotionModel,
     EmotionPrediction,
-    emotion_head_params,
     emotion_heads_forward,
     exclusivity_loss,
     task_loss,
@@ -28,12 +27,16 @@ def schema():
     return AffectSchema.default()
 
 
+def head_params(hidden, seed):
+    """The default schema's emotion-head parameters at ``hidden``, drawn from ``seed``."""
+    return EmotionModel(AffectSchema.default(), LossWeights()).params(hidden, np.random.default_rng(seed))
+
+
 def zero_heads(num_emotions=6, hidden=4):
-    rng = np.random.default_rng(0)
-    heads = emotion_head_params(num_emotions, hidden, rng)
-    for t in heads.values():
-        t.data[...] = 0.0
-    return heads
+    """All-zero head parameters for ``num_emotions`` emotions, by checkpoint name."""
+    classes = {"e": num_emotions, "v": 3, "i": 2}
+    heads = {f"head.w_{h}": T.zeros(hidden, c, requires_grad=True) for h, c in classes.items()}
+    return {**heads, **{f"head.b_{h}": T.zeros(c, requires_grad=True) for h, c in classes.items()}}
 
 
 def uniform_tau(schema, value):
@@ -60,7 +63,7 @@ class TestHeadsForward:
         np.testing.assert_allclose(T.softmax(preds.z_i).data, 1 / 2, atol=1e-15)
 
     def test_output_shapes(self):
-        heads = emotion_head_params(6, 8, np.random.default_rng(2))
+        heads = head_params(8, 2)
         preds = emotion_heads_forward(T.tensor(np.zeros((5, 8))), heads)
         assert preds.z_e.shape == preds.p_e.shape == (5, 6)
         assert preds.z_v.shape == (5, 3)
@@ -77,7 +80,7 @@ class TestHeadsForward:
     def test_dimension_mismatch_rejected(self):
         from cmhl.errors import ShapeError
 
-        heads = emotion_head_params(6, 8, np.random.default_rng(0))
+        heads = head_params(8, 0)
         with pytest.raises(ShapeError):
             emotion_heads_forward(T.tensor(np.zeros((2, 5))), heads)
 
@@ -238,9 +241,9 @@ class TestTotalLoss:
                 for k, v in model.parameters().items()
             }
 
-        lam = model.weights.lambda_excl
+        lam = model.head.loss_weights.lambda_excl
         g_total = grads_for(lambda p: model.loss(p, batch))
-        g_task = grads_for(lambda p: task_loss(p, batch.labels, model.weights))
+        g_task = grads_for(lambda p: task_loss(p, batch.labels, model.head.loss_weights))
         g_excl = grads_for(lambda p: exclusivity_loss(p.p_e, schema))
         for name in g_total:
             np.testing.assert_allclose(
@@ -253,6 +256,6 @@ class TestTotalLoss:
         batch = encode_batch(examples, vocab, 4)
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
         model = EmotionModel.build(cfg, len(vocab), schema, LossWeights(), seed=4)
-        for name, tensor in model.heads.items():
+        for name, tensor in model.head_params.items():
             err = T.finite_diff_check(lambda t: model.loss(model.forward(batch), batch), tensor)
             assert err < 1e-4, f"{name}: {err:.3e}"

@@ -214,7 +214,7 @@ class TestMHModel:
         model = MHModel.build(cfg, len(vocab), MHLabelSchema(), seed=1)
         preds = model.forward(batch)
         assert preds.z_final.shape == (2, 5)
-        assert model.primary_probs(preds).shape == (2, 5)
+        assert model.head.probs(preds).shape == (2, 5)
         assert model.loss(preds, batch).item() > 0.0
 
     def test_both_terms_reach_encoder(self):
@@ -249,5 +249,5 @@ class TestMHModel:
         model = MHModel.build(cfg, len(vocab), MHLabelSchema(), seed=3)
         preds = model.forward(batch)
         T.backward(model.loss(preds, batch))
-        assert model.heads["mh.beta_raw"].grad is not None
-        assert abs(float(model.heads["mh.beta_raw"].grad)) > 0.0
+        assert model.head_params["mh.beta_raw"].grad is not None
+        assert abs(float(model.head_params["mh.beta_raw"].grad)) > 0.0

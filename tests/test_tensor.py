@@ -414,6 +414,16 @@ class TestAttention:
         with pytest.raises(NumericError, match="non-finite logits"):
             self._attend(T.tensor(q), T.tensor(k), T.tensor(v))
 
+    @pytest.mark.parametrize("operand", [0, 1], ids=["query", "key"])
+    def test_nonfinite_in_padded_sample_raises_without_warning(self, operand):
+        # packed row 4 is slot 0 of sample 1, which pads two slots: inf times a pad slot's zero row is nan
+        arrays = self._qkv()
+        arrays[operand][4, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite logits"):
+                self._attend(*(T.tensor(a) for a in arrays))
+
     def test_shape_mismatch_rejected(self):
         q, k, v = (T.tensor(a) for a in self._qkv())
         with pytest.raises(ShapeError):

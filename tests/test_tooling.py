@@ -4,6 +4,7 @@ package's only dependency, and every third-party module the tests import is
 declared."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -123,3 +124,20 @@ def test_test_imports_are_declared():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"cmhl", "conftest"}
     assert sorted(third_party - declared) == []
+
+
+def test_perfbench_workloads_set_up(tmp_path, monkeypatch):
+    """Every benchmark workload builds its inputs and its first model (set-up
+    only, no timed run), so a change to a call they make, such as
+    ``MHModel.build``, ``TrainConfig.mental_health_preset`` or ``Checkpoint``'s
+    keywords, fails here and not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    from cmhl.encoder import Model
+
+    built = {}
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        built[name] = workload(1, tmp_path / name)
+    assert all(isinstance(built[name].model, Model) for name in ("desk_train", "mid_train", "desk_eval"))
+    assert (built["desk_eval"].checkpoint / "manifest.json").is_file()

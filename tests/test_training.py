@@ -1,7 +1,10 @@
 """Optimizer, schedule, metrics, selection, early stopping, persistence."""
 
+import json
 import sys
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,25 +162,17 @@ class TestLrSchedule:
 
 
 class StubModel:
-    """Returns pre-set probability rows in corpus order."""
-
-    task = "emotion"
+    """Returns pre-set probability rows in corpus order; its head reads them as the primary probabilities."""
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
         self.cursor = 0
-
-    @property
-    def num_primary_classes(self):
-        return self.probs.shape[1]
+        self.head = SimpleNamespace(schema=SimpleNamespace(names=tuple(range(self.probs.shape[1]))), probs=T.tensor)
 
     def forward(self, batch, rng=None):
         rows = self.probs[self.cursor : self.cursor + len(batch.token_ids)]
         self.cursor += len(batch.token_ids)
         return rows
-
-    def primary_probs(self, preds):
-        return T.tensor(preds)
 
 
 def stub_examples(labels):
@@ -279,7 +274,7 @@ def serial_predict(model, examples, vocab, config):
         for start in range(0, len(examples), config.batch_size):
             idx = order[start : start + config.batch_size]
             seq = min(config.max_seq_len, 1 + int(lengths[idx].max()))
-            probs = model.primary_probs(model.forward(encode_batch([examples[i] for i in idx], vocab, max(seq, 2)))).data
+            probs = model.head.probs(model.forward(encode_batch([examples[i] for i in idx], vocab, max(seq, 2)))).data
             preds[idx], confs[idx] = probs.argmax(axis=1), probs.max(axis=1)
     return preds, confs
 
@@ -585,6 +580,19 @@ class TestTrainLoop:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
+    def test_checkpoint_of_an_earlier_commit_predicts_the_same_bits(self, task):
+        """``tests/fixtures/checkpoints`` holds one toy checkpoint per task and
+        their predictions, all written at commit 51f723d (see ``make.py`` there)."""
+        fixtures = Path(__file__).parent / "fixtures" / "checkpoints"
+        expected = json.loads((fixtures / "expected.json").read_text())
+        ckpt = load_checkpoint(fixtures / task)
+        assert ckpt.task == task
+        examples = [LabeledExample(text=text, emotion=0) for text in expected["eval_texts"]]
+        preds, confs = predict(model_from_checkpoint(ckpt), examples, ckpt.vocab, ckpt.train_config)
+        assert preds.tolist() == expected[task]["predictions"]
+        assert [c.hex() for c in confs.tolist()] == expected[task]["confidences"]
+
     def test_checkpoint_round_trip_bitexact_eval(self, default_schema, tmp_path):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=24, seed=7)
         config = TrainConfig(batch_size=8, grad_accumulation_steps=1, epochs=1,
@@ -593,10 +601,10 @@ class TestPersistence:
         before = evaluate(model, examples[:8], vocab, config)
 
         ckpt = Checkpoint(
-            task=model.task,
+            task="emotion",
             encoder_config=model.encoder.config,
             train_config=config,
-            loss_weights=model.weights,
+            loss_weights=model.head.loss_weights,
             vocab=vocab,
             schema_json=default_schema.to_jsonable(),
             epoch=result.best_index + 1,
@@ -617,10 +625,10 @@ class TestPersistence:
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=8, seed=2)
         config = TrainConfig(batch_size=8, epochs=1, warmup=0, seed=2, max_seq_len=16)
         ckpt = Checkpoint(
-            task=model.task,
+            task="emotion",
             encoder_config=model.encoder.config,
             train_config=config,
-            loss_weights=model.weights,
+            loss_weights=model.head.loss_weights,
             vocab=vocab,
             schema_json=default_schema.to_jsonable(),
             epoch=1,
@@ -645,10 +653,10 @@ class TestPersistence:
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=8, seed=3)
         config = TrainConfig(batch_size=8, epochs=1, warmup=0, seed=3, max_seq_len=16)
         ckpt = Checkpoint(
-            task=model.task,
+            task="emotion",
             encoder_config=model.encoder.config,
             train_config=config,
-            loss_weights=model.weights,
+            loss_weights=model.head.loss_weights,
             vocab=vocab,
             schema_json=default_schema.to_jsonable(),
             epoch=1,
