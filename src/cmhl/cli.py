@@ -137,9 +137,9 @@ def cmd_train(args) -> int:
 
     lexicon = load_synonyms(cfg.paths.lexicon) if cfg.train.augment and cfg.paths.lexicon else None
 
-    started = time.time()
+    started = time.perf_counter()
     result = train(model, vocab, train_examples, cfg.train, validation=val_examples, lexicon=lexicon)
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     for name, tensor in model.parameters().items():  # the selected checkpoint, not the last epoch
         tensor.data[...] = result.best_params[name]
 
@@ -204,9 +204,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     rows = run_gradcheck(args.scope, corrupt=args.inject_error)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     width = max(len(f"{r.component}/{r.target}") for r in rows)
     for r in rows:
         status = "ok" if r.passed else "FAIL"

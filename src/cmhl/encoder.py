@@ -42,7 +42,7 @@ class EncoderConfig:
 class Encoder:
     """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS out; dropout only given ``rng``."""
 
-    def __init__(self, config: EncoderConfig, vocab_size: int, rng: np.random.Generator):
+    def __init__(self, config: EncoderConfig, vocab_size: int, rng: np.random.Generator | None):
         self.config = config
         self.vocab_size = vocab_size
         d, ffn = config.hidden, config.ffn_dim
@@ -120,8 +120,8 @@ class Model:
     head_params: dict[str, T.Tensor]
 
     @classmethod
-    def build(cls, config: EncoderConfig, vocab_size: int, head, seed: int) -> "Model":
-        rng = np.random.default_rng([seed, head.stream])  # the encoder draws first, then the head
+    def build(cls, config: EncoderConfig, vocab_size: int, head, seed: int | None) -> "Model":
+        rng = None if seed is None else np.random.default_rng([seed, head.stream])  # encoder, then head; None: zeros
         return cls(Encoder(config, vocab_size, rng), head, head.params(config.hidden, rng))
 
     def parameters(self) -> dict[str, T.Tensor]:

@@ -77,10 +77,12 @@ class EmotionModel:
     stream: ClassVar[int] = 1  # the model's seeded parameter stream
 
     @classmethod
-    def build(cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int) -> Model:
+    def build(
+        cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int | None
+    ) -> Model:
         return Model.build(encoder_config, vocab_size, cls(schema, weights), seed)
 
-    def params(self, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
         """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""
         k = len(self.schema.taxonomy)
         return {

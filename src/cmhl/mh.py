@@ -127,10 +127,10 @@ class MHModel:
     stream: ClassVar[int] = 2  # the model's seeded parameter stream
 
     @classmethod
-    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int) -> Model:
+    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int | None) -> Model:
         return Model.build(encoder_config, vocab_size, cls(labels), seed)
 
-    def params(self, hidden: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
         return mh_head_params(len(self.schema.categories), hidden, rng, severity_levels=self.schema.severity_levels)
 
     def forward(self, h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:

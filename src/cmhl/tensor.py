@@ -19,13 +19,20 @@ array its backward closure has just computed is adopted, and a view of the
 consumer's gradient (``add``, ``reshape``, ``swapaxes``, ``sum``, ``concat``)
 is copied, so no two ``.grad`` arrays share memory. Only ``gather`` zero-fills
 a ``.grad``, because its backward adds into it in place.
+
+Importing the module sets glibc's malloc policy for the whole process, once
+(``_MALLOC_POLICY``: one arena, arrays below 32 MiB from the heap, 128 MiB of
+freed heap kept), so a training step reuses the pages the last one freed. It
+applies to glibc only; a host program with its own malloc tuning must redo it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import math
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +70,19 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _GRAD_ENABLED = contextvars.ContextVar("cmhl_grad_enabled", default=True)
+
+_MALLOC_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 128 << 20))  # M_ARENA_MAX, M_MMAP_THRESHOLD (max), M_TRIM_THRESHOLD
+
+
+def _keep_freed_memory(libc) -> None:
+    """Set ``_MALLOC_POLICY`` through ``libc.mallopt``; a no-op where ``libc`` has none."""
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)  # int mallopt(int param, int value)
+        for option, value in _MALLOC_POLICY:
+            libc.mallopt(option, value)
+
+
+_keep_freed_memory(ctypes.CDLL(None) if os.name == "posix" else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -212,9 +232,9 @@ def ones(*shape: int, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
-def param(shape: Sequence[int], rng: np.random.Generator) -> Tensor:
-    """Trainable tensor initialized from normal(0, 0.02)."""
-    return Tensor(rng.normal(0.0, 0.02, size=tuple(shape)), requires_grad=True)
+def param(shape: Sequence[int], rng: np.random.Generator | None) -> Tensor:
+    """Trainable tensor initialized from normal(0, 0.02); zeros without ``rng`` (a checkpoint overwrites it)."""
+    return Tensor(np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=tuple(shape)), requires_grad=True)
 
 
 # -- primitives --------------------------------------------------------------
@@ -462,7 +482,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     istd = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * istd
+    xhat = np.multiply(xc, istd, out=xc)
 
     def back(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -475,7 +495,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             x._accumulate(istd * term, True)
 
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", back)
+    out = xhat * gain.data
+    out += bias.data
+    return _node(out, (x, gain, bias), "layer_norm", back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows: np.ndarray | None = None) -> Tensor:
@@ -491,7 +513,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows: np.nd
     def back(g: np.ndarray) -> None:
         x._accumulate(g * keep * inv, True)
 
-    return _node(x.data * keep * inv, (x,), "dropout", back)  # the bits of x * (keep / (1 - rate))
+    out = x.data * keep  # then * inv in place: the bits of x * (keep / (1 - rate))
+    out *= inv
+    return _node(out, (x,), "dropout", back)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

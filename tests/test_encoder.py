@@ -272,3 +272,16 @@ class TestModel:
         assert list(params) == list(want) == [*model.encoder.parameters(), *model.head_params]
         for name, tensor in want.items():
             np.testing.assert_array_equal(params[name].data, tensor.data, err_msg=name)
+
+    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
+    def test_seed_none_draws_nothing(self, task):
+        """Without a seed (a model to load a checkpoint into) every drawn tensor is zeros, and the
+        rest (zero biases, unit gains, the severity weight) and every name and shape are as seeded."""
+        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8)
+        schema = TASKS[task].schema(None)
+        seeded = TASKS[task].build(cfg, 10, schema, LossWeights(), 3).parameters()
+        empty = TASKS[task].build(cfg, 10, schema, LossWeights(), None).parameters()
+        assert [(k, v.shape) for k, v in empty.items()] == [(k, v.shape) for k, v in seeded.items()]
+        for name, tensor in empty.items():
+            drawn = tensor.data.ndim == 2
+            assert not tensor.data.any() if drawn else np.array_equal(tensor.data, seeded[name].data), name

@@ -4,6 +4,7 @@ import gc
 import math
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -706,6 +707,17 @@ class TestErf:
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x))
 
 
+class TestMallocPolicy:
+    def test_without_mallopt_is_a_no_op(self):
+        for libc in (None, object(), SimpleNamespace(malloc_trim=lambda pad: 1)):
+            assert T._keep_freed_memory(libc) is None
+
+    def test_sets_glibcs_three_options_once_each(self):
+        calls = []
+        T._keep_freed_memory(SimpleNamespace(mallopt=lambda option, value: calls.append((option, value))))
+        assert calls == [(-8, 1), (-3, 32 << 20), (-1, 128 << 20)]  # arena max, mmap and trim thresholds
+
+
 class TestLayerNormReference:
     def test_forward_equals_mean_var_formula(self):
         """The direct reductions give bit for bit what ``np.mean`` and ``np.var`` give."""
@@ -715,6 +727,29 @@ class TestLayerNormReference:
         want = (x - mu) * (1.0 / np.sqrt(var + T.LAYERNORM_EPS)) * gain + bias
         got = T.layer_norm(T.tensor(x), T.tensor(gain), T.tensor(bias)).data
         assert got.tobytes() == want.tobytes()
+
+    def test_one_buffer_equals_plain_expressions(self):
+        """``xhat`` in ``xc``'s buffer and ``xhat * gain`` then ``+= bias`` in place give the bits of the
+        plain expressions, forward and backward; constant rows (``xhat`` = +0) meet signed-zero gains and biases."""
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.normal(0.0, 2.0, (30, 8)), np.full((2, 8), 3.0)])
+        gain = np.array([1.5, -0.0, 0.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        bias = np.array([0.0, -0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0])
+        g = rng.normal(size=x.shape)
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / 8
+        istd = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / 8 + T.LAYERNORM_EPS)
+        xhat = xc * istd
+        want = xhat * gain + bias
+        dxhat = g * gain
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        leaves = [T.tensor(v, requires_grad=True) for v in (x, gain, bias)]
+        out = T.layer_norm(*leaves)
+        T.backward((out * T.tensor(g)).sum())
+        assert np.signbit(want[-2:]).any() and out.data.tobytes() == want.tobytes()
+        assert leaves[0].grad.tobytes() == (istd * term).tobytes()
+        assert leaves[1].grad.tobytes() == (g * xhat).sum(axis=0).tobytes()
+        assert leaves[2].grad.tobytes() == g.sum(axis=0).tobytes()
 
 
 class TestBitwiseFormulas:
@@ -734,6 +769,16 @@ class TestBitwiseFormulas:
             want = x * scale
             got = T.dropout(T.tensor(x), rate, np.random.default_rng(4)).data
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.15, 0.5])
+    def test_dropout_equals_one_expression(self, rate):
+        """``x * keep`` then ``*= 1 / (1 - rate)`` in place: the bits of ``x * keep * inv``, signed zeros included."""
+        x = np.concatenate([self.rng.normal(size=(40, 8)), np.tile(self.special, (5, 1))])
+        keep = np.random.default_rng(6).random(x.shape) >= rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x * keep * (1.0 / (1.0 - rate))
+            got = T.dropout(T.tensor(x), rate, np.random.default_rng(6)).data
+        assert np.signbit(want[x == 0.0]).any() and got.tobytes() == want.tobytes()
 
     def test_dropout_gradient_equals_float_scale(self):
         rate = 0.3
