@@ -20,10 +20,9 @@ from pathlib import Path
 from .affect import INTENSITY_LABELS, VALENCE_LABELS, LossWeights
 from .data import build_vocab, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, Model
 from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
 from .training import (
-    TASKS,
     Checkpoint,
     TrainConfig,
     accuracy,
@@ -31,8 +30,10 @@ from .training import (
     load_checkpoint,
     model_from_checkpoint,
     predict,
+    read_schema,
     save_checkpoint,
     score,
+    task_record,
     train,
     write_metrics_csv,
 )
@@ -70,8 +71,7 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     raw = check_fields(RunConfig, read_json_object(path, "config"))
     task = raw.get("task", "emotion")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    preset = task_record(task).preset
     if "seed" in raw.get("train", {}):
         raise ConfigError("set the seed at the top level, not inside 'train'")
 
@@ -83,7 +83,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
 
-    train_config = dataclasses.replace(TASKS[task].preset(), **raw.get("train", {}), seed=seed)
+    train_config = TrainConfig(**{**preset, **raw.get("train", {}), "seed": seed})
     return RunConfig(  # each section over its defaults, the task's preset for train
         task, seed, Paths(**raw.get("paths", {})), train_config, EncoderConfig(**raw.get("encoder", {})),
         LossWeights(**raw.get("loss_weights", {})), raw.get("vocab_min_freq", 1),
@@ -94,7 +94,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def cmd_derive_labels(args) -> int:
-    schema = TASKS["emotion"].schema(args.schema)
+    schema = read_schema("emotion", args.schema)
 
     def derive(obj: dict) -> str:
         emotion = label_index(obj.get("label"), schema.names, "emotion")
@@ -126,14 +126,13 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.paths.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    task = TASKS[cfg.task]
-    schema = task.schema(cfg.paths.schema)
-    corpus = task.load(cfg.paths.train, schema)
-    validation = task.load(cfg.paths.validation, schema) if cfg.paths.validation else None
+    head = task_record(cfg.task).record(read_schema(cfg.task, cfg.paths.schema), cfg.loss_weights)
+    corpus = head.load(cfg.paths.train)
+    validation = head.load(cfg.paths.validation) if cfg.paths.validation else None
     train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction, validation)
 
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
-    model = task.build(cfg.encoder, len(vocab), schema, cfg.loss_weights, cfg.seed)
+    model = Model.build(cfg.encoder, len(vocab), head, cfg.seed)
 
     lexicon = load_synonyms(cfg.paths.lexicon) if cfg.train.augment and cfg.paths.lexicon else None
 
@@ -149,9 +148,9 @@ def cmd_train(args) -> int:
             task=cfg.task,
             encoder_config=cfg.encoder,
             train_config=cfg.train,
-            loss_weights=model.head.loss_weights,
+            loss_weights=head.loss_weights,
             vocab=vocab,
-            schema_json=schema.to_jsonable(),
+            schema_json=head.schema.to_jsonable(),
             epoch=result.best_index + 1,
             metrics=result.best_metrics,
             tensors=result.best_params,
@@ -185,7 +184,7 @@ def cmd_eval(args) -> int:
         model = model_from_checkpoint(ckpt)
     except DataError as exc:  # the manifest's config sections disagree with its tensor entries
         raise DataError(f"{Path(args.checkpoint) / 'manifest.json'}: {exc}") from None
-    examples = TASKS[ckpt.task].load(args.corpus, ckpt.schema)
+    examples = model.head.load(args.corpus)
 
     y_pred, confs = predict(model, examples, ckpt.vocab, ckpt.train_config)
     payload = score(model, examples, y_pred, confs).to_jsonable()
@@ -198,8 +197,9 @@ def cmd_eval(args) -> int:
         with open(args.dump_predictions, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "true_label", "predicted_label", "confidence"])
+            names = model.head.schema.names
             for i, (ex, pred, conf) in enumerate(zip(examples, y_pred, confs)):
-                writer.writerow([i, ckpt.schema.names[ex.emotion], ckpt.schema.names[pred], f"{conf:.10f}"])
+                writer.writerow([i, names[ex.emotion], names[pred], f"{conf:.10f}"])
     return EXIT_OK
 
 

@@ -79,10 +79,6 @@ class MHLabelSchema:
             raise ConfigError(f"'severity_levels' must be >= 1, got {self.severity_levels}")
 
     @classmethod
-    def default(cls) -> "MHLabelSchema":
-        return cls()
-
-    @classmethod
     def from_jsonable(cls, raw: dict) -> "MHLabelSchema":
         """Inverse of ``to_jsonable``; absent fields take their defaults."""
         return cls(**check_fields(cls, raw))

@@ -3,22 +3,24 @@
 Three heads share the encoder's CLS vector and return logits. The objective
 is the label-balanced sum of their softmax cross-entropies plus a hinge
 penalty whenever an opposing (positive, negative) emotion pair's primary-head
-probabilities sum past that pair's threshold. ``EmotionModel`` is the task's
-head record; its ``build`` returns the ``encoder.Model`` that runs it.
+probabilities sum past that pair's threshold. ``EmotionModel`` is the one
+record of the emotion task; its ``build`` returns the ``encoder.Model`` that
+runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .affect import AffectSchema, LossWeights
-from .data import UNLABELED, Batch
+from .data import UNLABELED, Batch, LabeledExample, load_corpus
 from .encoder import Model
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 N_VALENCE = 3
 N_INTENSITY = 2
@@ -70,17 +72,29 @@ def total_loss(
 
 @dataclass(frozen=True)
 class EmotionModel:
-    """The emotion task's head record: the three heads and the composite objective under ``Model``."""
+    """The emotion task's record: its name, schema type and preset, and the heads and objective under ``Model``."""
 
     schema: AffectSchema
     loss_weights: LossWeights
+    task: ClassVar[str] = "emotion"  # the name in run configs and manifests
+    schema_type: ClassVar[type] = AffectSchema
+    preset: ClassVar[MappingProxyType] = MappingProxyType({})  # TrainConfig overrides: none
     stream: ClassVar[int] = 1  # the model's seeded parameter stream
+
+    @classmethod
+    def record(cls, schema: AffectSchema, loss_weights: LossWeights | None) -> "EmotionModel":
+        if loss_weights is None:
+            raise ConfigError(f"task {cls.task!r} needs loss_weights, got null")
+        return cls(schema, loss_weights)
 
     @classmethod
     def build(
         cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int | None
     ) -> Model:
         return Model.build(encoder_config, vocab_size, cls(schema, weights), seed)
+
+    def load(self, path) -> list[LabeledExample]:
+        return load_corpus(path, self.schema)[0]  # the module global, looked up at each call
 
     def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
         """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""

@@ -5,20 +5,21 @@ Both heads read the shared CLS vector. A small bottleneck network turns their
 concatenated probabilities into two gate weights that rescale the diagnosis
 and severity blocks before the fused head. The severity and fused heads
 return logits; the severity term's loss weight is a learnable scalar kept
-positive through softplus. ``MHModel`` is the task's head record; its
-``build`` returns the ``encoder.Model`` that runs it.
+positive through softplus. ``MHModel`` is the one record of the
+mental-health task; its ``build`` returns the ``encoder.Model`` that runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
-from .data import UNLABELED, Batch, MHLabelSchema
+from .data import UNLABELED, Batch, LabeledExample, MHLabelSchema, load_mh_corpus
 from .encoder import Model
 from .errors import DataError, ShapeError
 
@@ -120,15 +121,29 @@ def mh_loss(
 
 @dataclass(frozen=True)
 class MHModel:
-    """The mental-health task's head record: the gated heads and the adaptive-weight loss under ``Model``."""
+    """The mental-health task's record: its name, schema type and preset, and the gated heads and
+    adaptive-weight loss under ``Model``."""
 
     schema: MHLabelSchema
     loss_weights: ClassVar[None] = None  # no fixed loss weights: the severity weight is learned
+    task: ClassVar[str] = "mental_health"  # the name in run configs and manifests
+    schema_type: ClassVar[type] = MHLabelSchema
+    preset: ClassVar[MappingProxyType] = MappingProxyType(dict(  # TrainConfig overrides
+        learning_rate=1.5e-5, warmup=400, batch_size=12, grad_accumulation_steps=1, epochs=10,
+        early_stop_patience=3, augment=True,
+    ))
     stream: ClassVar[int] = 2  # the model's seeded parameter stream
+
+    @classmethod
+    def record(cls, schema: MHLabelSchema, loss_weights) -> "MHModel":
+        return cls(schema)  # a run config's loss_weights are reported, not read
 
     @classmethod
     def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int | None) -> Model:
         return Model.build(encoder_config, vocab_size, cls(labels), seed)
+
+    def load(self, path) -> list[LabeledExample]:
+        return load_mh_corpus(path, self.schema)[0]  # the module global, looked up at each call
 
     def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
         return mh_head_params(len(self.schema.categories), hidden, rng, severity_levels=self.schema.severity_levels)

@@ -16,7 +16,6 @@ import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .data import (
     augmentation_rng,
     default_lexicon,
     encode_batch,
-    load_corpus,
-    load_mh_corpus,
     split_examples,
 )
 from .encoder import EncoderConfig, Model
@@ -83,15 +80,7 @@ class TrainConfig:
 
     @classmethod
     def mental_health_preset(cls) -> "TrainConfig":
-        return cls(
-            learning_rate=1.5e-5,
-            warmup=400,
-            batch_size=12,
-            grad_accumulation_steps=1,
-            epochs=10,
-            early_stop_patience=3,
-            augment=True,
-        )
+        return cls(**MHModel.preset)
 
     def warmup_steps(self, total_steps: int) -> int:
         if self.warmup == 0:
@@ -304,7 +293,6 @@ class TrainResult:
     best_index: int
     best_params: dict[str, np.ndarray]
     stopped_early: bool
-    total_steps: int
     steps_taken: int
 
     @property
@@ -415,7 +403,6 @@ def train(
         best_index=best_index,
         best_params=best_params,
         stopped_early=stopped_early,
-        total_steps=total_steps,
         steps_taken=global_step,
     )
 
@@ -423,9 +410,23 @@ def train(
 # -- persistence -----------------------------------------------------------------
 
 
+TASKS = {r.task: r for r in (EmotionModel, MHModel)}  # each task's one record, by the name runs use
+
+
+def task_record(task: str) -> type[EmotionModel] | type[MHModel]:
+    if task not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    return TASKS[task]
+
+
+def read_schema(task: str, path: str | Path | None) -> AffectSchema | MHLabelSchema:
+    """Task ``task``'s schema from the JSON file at ``path``, or its default schema when no path is set."""
+    return task_record(task).schema_type.from_jsonable(read_json_object(path, "schema") if path else {})
+
+
 @dataclass
 class Checkpoint:
-    """A saved model; ``schema`` is ``schema_json`` parsed by ``task``'s schema type on creation."""
+    """A saved model; ``head`` is ``task``'s record of ``schema_json`` and ``loss_weights``, made on creation."""
 
     task: str
     encoder_config: EncoderConfig
@@ -436,12 +437,13 @@ class Checkpoint:
     epoch: int
     metrics: Metrics | None
     tensors: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    schema: AffectSchema | MHLabelSchema = field(init=False, repr=False, compare=False)
+    head: EmotionModel | MHModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
-        self.schema = TASKS[self.task].schema_type.from_jsonable(self.schema_json)
+        record = task_record(self.task)
+        self.head = record.record(record.schema_type.from_jsonable(self.schema_json), self.loss_weights)
+        if self.head.loss_weights != self.loss_weights:
+            raise ConfigError(f"loss_weights must be null for task {self.task!r}, got {self.loss_weights}")
 
 
 @dataclass(frozen=True)
@@ -526,50 +528,14 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         raise DataError(f"{manifest_path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Task:
-    """What differs between the emotion and the mental-health pipeline.
-
-    ``load(path, schema)`` returns a corpus's examples; it looks the loader up
-    by name at each call, so a wrapper installed on the module global is seen.
-    ``build(encoder_config, vocab_size, schema, loss_weights, seed)`` returns
-    a fresh ``Model`` under the task's head record.
-    """
-
-    schema_type: type
-    preset: Callable[[], TrainConfig]
-    load: Callable[..., list[LabeledExample]]
-    build: Callable
-
-    def schema(self, path: str | Path | None):
-        """The schema in ``path``, or the default one when no path is set."""
-        return self.schema_type.from_jsonable(read_json_object(path, "schema")) if path else self.schema_type.default()
-
-
-TASKS = {
-    "emotion": Task(
-        schema_type=AffectSchema,
-        preset=TrainConfig,
-        load=lambda path, schema: load_corpus(path, schema)[0],
-        build=EmotionModel.build,
-    ),
-    "mental_health": Task(
-        schema_type=MHLabelSchema,
-        preset=TrainConfig.mental_health_preset,
-        load=lambda path, labels: load_mh_corpus(path, labels)[0],
-        build=lambda config, vocab_size, labels, _weights, seed: MHModel.build(config, vocab_size, labels, seed),
-    ),
-}
-
-
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     """Rebuild the model named by the checkpoint and load its tensors."""
     cfg = ckpt.encoder_config  # a floor on the model's size (embeddings, blocks, heads), checked before allocating
-    heads = len(ckpt.schema.names) + getattr(ckpt.schema, "severity_levels", 0)  # the mental-health severity head
+    heads = len(ckpt.head.schema.names) + getattr(ckpt.head.schema, "severity_levels", 0)  # the severity head
     floor = (len(ckpt.vocab) + cfg.max_positions + cfg.layers * (4 * cfg.hidden + 2 * cfg.ffn_dim) + heads) * cfg.hidden
     if floor > sum(t.size for t in ckpt.tensors.values()):
         raise DataError(f"the encoder config needs at least {floor} parameters, more than the checkpoint holds")
-    model = TASKS[ckpt.task].build(cfg, len(ckpt.vocab), ckpt.schema, ckpt.loss_weights or LossWeights(), None)
+    model = Model.build(cfg, len(ckpt.vocab), ckpt.head, None)
 
     params = model.parameters()  # zeros (seed None draws nothing), each overwritten once the checks below pass
     missing = set(params) ^ set(ckpt.tensors)

@@ -18,7 +18,7 @@ from cmhl.affect import (
 )
 from cmhl.data import label_index
 from cmhl.errors import ConfigError, SchemaError
-from cmhl.training import TASKS
+from cmhl.training import read_schema
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ class TestSchemaConstruction:
         import json
 
         path.write_text(json.dumps(schema.to_jsonable()))
-        loaded = TASKS["emotion"].schema(path)
+        loaded = read_schema("emotion", path)
         assert loaded.taxonomy == schema.taxonomy
         assert loaded.coords == schema.coords
         assert np.array_equal(loaded.tau, schema.tau)
@@ -183,14 +183,14 @@ class TestSchemaConstruction:
         path = tmp_path / "schema.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
-            TASKS["emotion"].schema(path)
+            read_schema("emotion", path)
 
     def test_unknown_schema_field_rejected(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text('{"emotions": ["joy"], "positive": ["joy"], "negative": [], '
                         '"coords": {"joy": [0.8, 0.5]}, "tau0": 0.8, "scale": 0.0, "bogus": 1}')
         with pytest.raises(ConfigError):
-            TASKS["emotion"].schema(path)
+            read_schema("emotion", path)
 
     def test_sign_consistency_enforced(self):
         coords = {"joy": (-0.5, 0.5), "fear": (-0.6, 0.6)}

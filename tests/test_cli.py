@@ -607,7 +607,8 @@ class TestEval:
          "float_batch_size", "float_layers", "negative_layers", "validation_fraction_one", "train_dropout",
          "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task", "not_utf8",
          "nan_learning_rate", "infinite_alpha1", "vocab_min_frequency_string", "vocab_tokens_string",
-         "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside"],
+         "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside", "emotion_loss_weights_null",
+         "mental_health_loss_weights_object"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -665,6 +666,14 @@ class TestEval:
             manifest["task"] = "bogus"
             manifest_path.write_text(json.dumps(manifest))
             offender = "manifest.json: malformed value: task must be one of ('emotion', 'mental_health'), got 'bogus'"
+        elif corruption == "emotion_loss_weights_null":  # not silently replaced by the default weights
+            manifest["loss_weights"] = None
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "manifest.json: malformed value: task 'emotion' needs loss_weights, got null"
+        elif corruption == "mental_health_loss_weights_object":  # a mental-health head has no fixed loss weights
+            manifest["task"], manifest["schema"] = "mental_health", MHLabelSchema().to_jsonable()
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "manifest.json: malformed value: loss_weights must be null for task 'mental_health'"
         else:  # a config field of the wrong type or range
             section, key, value, offender = {
                 "float_batch_size": ("train", "batch_size", 2.5, "'train.batch_size'"),

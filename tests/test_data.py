@@ -27,7 +27,7 @@ from cmhl.data import (
     tokenize,
 )
 from cmhl.errors import ConfigError, DataError
-from cmhl.training import TASKS
+from cmhl.training import read_schema
 
 
 @pytest.fixture(scope="module")
@@ -199,21 +199,21 @@ class TestMHLabelSchema:
         assert MHLabelSchema.from_jsonable(json.loads(json.dumps(labels.to_jsonable()))) == labels
 
     def test_defaults(self):
-        assert MHLabelSchema.from_jsonable({}) == MHLabelSchema.default() == MHLabelSchema()
-        assert MHLabelSchema.default().names == MHLabelSchema().categories
+        assert MHLabelSchema.from_jsonable({}) == read_schema("mental_health", None) == MHLabelSchema()
+        assert MHLabelSchema().names == MHLabelSchema().categories
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"categories": ["low", "mid", "high"], "intensity_field": "sev",
                                     "severity_levels": 4}))
-        assert TASKS["mental_health"].schema(path) == self.CUSTOM
+        assert read_schema("mental_health", path) == self.CUSTOM
 
     @pytest.mark.parametrize("text", ["{oops", "[1, 2]"])
     def test_malformed_json_names_file(self, tmp_path, text):
         path = tmp_path / "labels.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
-            TASKS["mental_health"].schema(path)
+            read_schema("mental_health", path)
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="colour"):

@@ -10,7 +10,7 @@ from cmhl.affect import LossWeights
 from cmhl.data import LabeledExample, build_vocab, encode_batch
 from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig, Model
 from cmhl.errors import ConfigError, ShapeError
-from cmhl.training import TASKS
+from cmhl.training import TASKS, read_schema
 
 
 def toy_batch(texts, max_len=6, labels=None):
@@ -255,11 +255,11 @@ class TestEncoderGradients:
 class TestModel:
     @pytest.mark.parametrize("task", ["emotion", "mental_health"])
     def test_both_tasks_build_the_one_model_type(self, task):
-        """A task's ``build`` returns a ``Model`` under its frozen head record,
+        """``Model.build`` under a task's frozen record returns the one model type,
         whose parameters come from the head's seeded stream: encoder first, then head."""
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8)
-        schema = TASKS[task].schema(None)
-        model = TASKS[task].build(cfg, 10, schema, LossWeights(), 3)
+        schema = read_schema(task, None)
+        model = Model.build(cfg, 10, TASKS[task].record(schema, LossWeights()), 3)
         assert type(model) is Model and model.head.schema is schema
         assert model.head.stream == {"emotion": 1, "mental_health": 2}[task]
         assert model.head.loss_weights == (LossWeights() if task == "emotion" else None)
@@ -278,9 +278,9 @@ class TestModel:
         """Without a seed (a model to load a checkpoint into) every drawn tensor is zeros, and the
         rest (zero biases, unit gains, the severity weight) and every name and shape are as seeded."""
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8)
-        schema = TASKS[task].schema(None)
-        seeded = TASKS[task].build(cfg, 10, schema, LossWeights(), 3).parameters()
-        empty = TASKS[task].build(cfg, 10, schema, LossWeights(), None).parameters()
+        head = TASKS[task].record(read_schema(task, None), LossWeights())
+        seeded = Model.build(cfg, 10, head, 3).parameters()
+        empty = Model.build(cfg, 10, head, None).parameters()
         assert [(k, v.shape) for k, v in empty.items()] == [(k, v.shape) for k, v in seeded.items()]
         for name, tensor in empty.items():
             drawn = tensor.data.ndim == 2

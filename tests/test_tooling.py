@@ -141,3 +141,24 @@ def test_perfbench_workloads_set_up(tmp_path, monkeypatch):
         built[name] = workload(1, tmp_path / name)
     assert all(isinstance(built[name].model, Model) for name in ("desk_train", "mid_train", "desk_eval"))
     assert (built["desk_eval"].checkpoint / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("task, span", [("emotion", "data.load_corpus"), ("mental_health", "data.load_mh_corpus")])
+def test_traced_eval_sees_the_corpus_loader(tmp_path, monkeypatch, capsys, task, span):
+    """A task record's ``load`` looks its loader up at each call, so one in-process
+    ``cmhl eval`` under the benchmark's tracer records the loader's span."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    from cmhl import cli
+
+    label = {"emotion": "joy", "mental_health": "anxiety"}[task]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f'{{"text": "so glad today", "label": "{label}"}}\n')
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(["eval", str(ROOT / "tests" / "fixtures" / "checkpoints" / task), str(corpus)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0 and tracer.names.count(span) == 1, sorted(set(tracer.names))

@@ -16,11 +16,13 @@ from cmhl import data as data_module
 from cmhl import tensor as T
 from cmhl import training
 from cmhl.affect import LossWeights
-from cmhl.data import LabeledExample, augment, build_vocab, default_lexicon, encode_batch, tokenize
-from cmhl.encoder import EncoderConfig
+from cmhl.data import LabeledExample, MHLabelSchema, augment, build_vocab, default_lexicon, encode_batch, tokenize
+from cmhl.encoder import EncoderConfig, Model
 from cmhl.errors import ConfigError, DataError, NumericError
 from cmhl.heads import EmotionModel
+from cmhl.mh import MHModel
 from cmhl.training import (
+    TASKS,
     AdamW,
     Checkpoint,
     Metrics,
@@ -31,8 +33,10 @@ from cmhl.training import (
     lr_at,
     model_from_checkpoint,
     predict,
+    read_schema,
     save_checkpoint,
     select_checkpoint,
+    task_record,
     train,
     write_metrics_csv,
 )
@@ -580,7 +584,7 @@ class TestTrainLoop:
         assert result.best_index == select_checkpoint(result.history)
 
     def test_preset_values_pinned(self):
-        emotion = training.TASKS["emotion"].preset()
+        emotion = TrainConfig(**EmotionModel.preset)
         assert (emotion.learning_rate, emotion.weight_decay) == (2e-5, 0.01)
         assert (emotion.warmup, emotion.batch_size) == (0.1, 16)
         assert (emotion.grad_accumulation_steps, emotion.epochs) == (2, 5)
@@ -608,6 +612,35 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, vocab, examples, config)
 
+    @pytest.mark.xfail(strict=True, reason="augmentation_rng(seed, e, j) seeds [seed, e, j], and SeedSequence ignores "
+                       "trailing zeros: e=4 is epoch j's shuffle, e=7 the dropout of epoch j's first micro-batch, "
+                       "and (e, 0) for e=1 or 2 a model's init stream")
+    def test_seeded_streams_are_pairwise_distinct(self, default_schema, monkeypatch):
+        """Every generator a seeded run draws from (the split, both tasks' model streams, each
+        epoch's shuffle, each example's augmentation, each micro-batch's dropout) starts from its
+        own state, over seeds 0-2, eight epochs and seven training examples."""
+        make, made = np.random.default_rng, []
+
+        def recording(seed=None):
+            rng = make(seed)
+            made.append((seed, rng.bit_generator.state["state"]["state"]))
+            return rng
+
+        examples = synthetic_emotion_examples(8, 0, default_schema)
+        vocab = build_vocab(examples, min_freq=1)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16)
+        for seed in range(3):
+            MHModel.build(cfg, len(vocab), MHLabelSchema(), seed)
+            model = EmotionModel.build(cfg, len(vocab), default_schema, LossWeights(), seed)
+            train(model, vocab, examples, TrainConfig(batch_size=4, grad_accumulation_steps=1, epochs=8, warmup=0,
+                                                      seed=seed, max_seq_len=16, augment=True))
+        by_state = {}
+        for seed, state in made:
+            by_state.setdefault(state, []).append(seed)
+        shared = [seeds for seeds in by_state.values() if len(seeds) > 1]
+        assert shared == [], f"{len(shared)} states drawn by more than one stream: {shared}"
+
     def test_best_params_snapshot_differs_from_final(self, default_schema, monkeypatch):
         # degrading scores: best params are epoch 1, final params are later
         scores = iter([0.9, 0.1, 0.1])
@@ -623,6 +656,52 @@ class TestTrainLoop:
         assert any(
             not np.array_equal(result.best_params[k], current[k].data) for k in result.best_params
         )
+
+
+class TestTaskRecords:
+    """``TASKS`` maps each task's name to its one record: schema type, preset, loader and heads."""
+
+    LINES = {
+        "emotion": [{"text": "so glad", "label": "joy"}, {"text": "dark rain", "label": 0, "split": "validation"}],
+        "mental_health": [{"text": "cannot sleep", "label": "anxiety", "intensity": 2},
+                          {"text": "tired again", "label": "depression", "split": "validation"}],
+    }
+
+    @pytest.mark.parametrize("record", TASKS.values(), ids=TASKS)
+    def test_record_is_its_task(self, record):
+        assert TASKS[record.task] is record and task_record(record.task) is record
+        presets = {"emotion": TrainConfig(), "mental_health": TrainConfig.mental_health_preset()}
+        assert TrainConfig(**record.preset) == presets[record.task]
+        assert type(read_schema(record.task, None)) is record.schema_type
+
+    def test_unknown_task_names_the_known_ones(self):
+        with pytest.raises(ConfigError, match=r"task must be one of \('emotion', 'mental_health'\), got 'bogus'"):
+            task_record("bogus")
+
+    @pytest.mark.parametrize("record", TASKS.values(), ids=TASKS)
+    def test_load_is_the_module_loader(self, record, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in self.LINES[record.task]))
+        schema = read_schema(record.task, None)
+        loader = {"emotion": data_module.load_corpus, "mental_health": data_module.load_mh_corpus}[record.task]
+        examples = record.record(schema, LossWeights()).load(path)
+        assert len(examples) == 2 and examples == loader(path, schema)[0]
+
+    @pytest.mark.parametrize("record", TASKS.values(), ids=TASKS)
+    def test_checkpoint_loads_the_record_it_was_saved_from(self, record, tmp_path):
+        schema = {"emotion": read_schema("emotion", None),
+                  "mental_health": MHLabelSchema(("low", "high"), "sev", 4)}[record.task]
+        head = record.record(schema, LossWeights(alpha1=0.25))
+        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=16)
+        vocab = build_vocab([LabeledExample(text="a b", emotion=0)])
+        model = Model.build(cfg, len(vocab), head, 0)
+        save_checkpoint(Checkpoint(task=record.task, encoder_config=cfg, train_config=TrainConfig(max_seq_len=16),
+                                   loss_weights=head.loss_weights, vocab=vocab, schema_json=schema.to_jsonable(),
+                                   epoch=1, metrics=None, tensors={k: v.data for k, v in model.parameters().items()}),
+                        tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert type(loaded.head) is record and loaded.head == head
+        assert model_from_checkpoint(loaded).head == head
 
 
 class TestPersistence:
