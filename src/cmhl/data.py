@@ -129,19 +129,18 @@ def build_vocab(examples: list[LabeledExample], min_freq: int = 1) -> Vocabulary
 
 @dataclass
 class Batch:
-    """Padded ids and mask, plus the maps that pack the real tokens row-major into [tokens, d] rows."""
+    """Padded ids and their boolean mask, plus the maps that pack the real tokens row-major into [tokens, d] rows."""
 
     token_ids: np.ndarray  # [batch, seq_len] int64
-    attention_mask: np.ndarray  # [batch, seq_len] {0,1}
+    attention_mask: np.ndarray  # [batch, seq_len] bool, True at the real tokens
     labels: dict[str, np.ndarray]
-    real: np.ndarray = field(init=False, repr=False)  # [batch * seq_len] bool, True at the real slots
     positions: np.ndarray = field(init=False, repr=False)  # [tokens] each token's position in its text
     cls: np.ndarray = field(init=False, repr=False)  # [batch] each text's [CLS] row
 
     def __post_init__(self):  # built once per batch, however many forward passes read it
-        self.real = self.attention_mask.reshape(-1) != 0
         self.positions = np.nonzero(self.attention_mask)[1]
-        self.cls = (np.cumsum(self.real) - self.real)[:: self.attention_mask.shape[1]]
+        lengths = self.attention_mask.sum(axis=1)
+        self.cls = np.cumsum(lengths) - lengths
 
 
 def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int) -> Batch:
@@ -154,12 +153,12 @@ def encode_batch(examples: list[LabeledExample], vocab: Vocabulary, max_len: int
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
     n = len(examples)
     ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((n, max_len), dtype=np.int64)
+    mask = np.zeros((n, max_len), dtype=bool)
     for row, ex in enumerate(examples):
         toks = [CLS_ID] + [vocab.id(t) for t in ex.tokens]
         toks = toks[:max_len]
         ids[row, : len(toks)] = toks
-        mask[row, : len(toks)] = 1
+        mask[row, : len(toks)] = True
     labels = {
         "primary": np.array([ex.emotion for ex in examples], dtype=np.int64),
         "valence": np.array(
@@ -343,5 +342,5 @@ def augment(
 
 
 def augmentation_rng(seed: int, epoch: int, example_index: int) -> np.random.Generator:
-    """Schedule-independent generator: identical regardless of worker layout."""
-    return np.random.default_rng([seed, epoch, example_index])
+    """Schedule-independent generator: identical regardless of worker layout; tag 3 keeps it off every other stream."""
+    return np.random.default_rng([seed, 3, epoch, example_index])

@@ -2,10 +2,10 @@
 
 Desk-scale by default (2 layers, 4 heads, hidden 64); the full-scale shape it
 mirrors is 12 layers, 12 heads, hidden 768. Learned position embeddings,
-GELU feed-forward, additive -1e9 attention masking so gradients stay finite.
-Padding-free: the residual stream is one packed [tokens, d] array of the
-batch's real tokens (``Batch.real``), so every per-token op and GEMM runs
-on real rows only; attention alone lays the rows out per sample.
+GELU feed-forward. Padding-free: the residual stream is one packed [tokens, d]
+array of the batch's real tokens (``Batch.attention_mask``'s True slots), so
+every per-token op, GEMM and dropout runs on real rows only; ``T.attention``
+alone lays the rows out per sample and masks the padded keys.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 from . import tensor as T
 from .data import Batch
 from .errors import ConfigError, NumericError, ShapeError
-
-MASK_NEG = -1e9
 
 
 @dataclass(frozen=True)
@@ -69,39 +67,36 @@ class Encoder:
         return self.params
 
     def embed(self, batch: Batch, *, rng=None) -> T.Tensor:
-        """The [tokens, d] embeddings of the batch's real tokens, packed row-major (``batch.real``)."""
+        """The [tokens, d] embeddings of the batch's real tokens, packed row-major (``batch.attention_mask``)."""
         ids = batch.token_ids
         n = ids.shape[1]
         if n > self.config.max_positions:
             raise ShapeError(f"sequence length {n} exceeds max_positions {self.config.max_positions}")
         if ids.max(initial=0) >= self.vocab_size:
             raise ShapeError(f"token id {ids.max()} outside vocabulary of {self.vocab_size}")
-        tokens = T.embedding(self.params["tok_emb"], ids.reshape(-1)[batch.real])
+        tokens = T.embedding(self.params["tok_emb"], ids[batch.attention_mask])
         h = tokens + T.embedding(self.params["pos_emb"], batch.positions)
-        return T.dropout(h, self.config.dropout, rng, batch.real)
+        return T.dropout(h, self.config.dropout, rng)
 
     def encode(self, h0: T.Tensor, batch: Batch, *, rng=None) -> T.Tensor:
         """The [B, d] CLS vectors of ``batch`` from its packed [tokens, d] embeddings ``h0``."""
         cfg = self.config
-        # 0 at real tokens, MASK_NEG at padding
-        mask_add = np.where(batch.attention_mask != 0, 0.0, MASK_NEG)
         x = h0
         p = self.params
-        rows = batch.real  # dropout draws at the padded shape, so seeded runs keep their RNG stream
         for i in range(cfg.layers):
             xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
             k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "kv")
             if i == cfg.layers - 1:  # the heads read only the CLS rows: the rest of the block computes just them
-                x, xn, rows = T.gather(x, batch.cls, axis=0), T.gather(xn, batch.cls, axis=0), None
+                x, xn = T.gather(x, batch.cls, axis=0), T.gather(xn, batch.cls, axis=0)
             q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
-            ctx = T.attention(q, k, v, batch.real, mask_add, cfg.heads)
+            ctx = T.attention(q, k, v, batch.attention_mask, cfg.heads)
             out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
-            x = x + T.dropout(out, cfg.dropout, rng, rows)
+            x = x + T.dropout(out, cfg.dropout, rng)
 
             yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
             hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
             ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
-            x = x + T.dropout(ffn_out, cfg.dropout, rng, rows)
+            x = x + T.dropout(ffn_out, cfg.dropout, rng)
 
             if not np.isfinite(x.data).all():
                 raise NumericError(f"non-finite activations after encoder layer {i}")

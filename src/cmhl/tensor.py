@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 LAYERNORM_EPS = 1e-5
+MASK_NEG = -1e9  # attention's score for a padded key: its probability underflows to 0, and no gradient is inf
 FD_EPS = 1e-5  # central-difference step of finite_diff_check
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -297,23 +298,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(y.reshape(*x.data.shape[:-1], k), (x, w, b), "linear", back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, real: np.ndarray, mask_add: np.ndarray, heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over packed [tokens, d] rows, as one node.
 
-    ``k`` and ``v`` pack the True slots of the [B * n] mask ``real`` (a padded
-    [B, n] batch, row-major); ``q`` is packed the same way or is one [B, d] row
-    per sample, querying as its slot 0. ``mask_add`` is a constant [B, n] added
-    to every score of each key (0 at real tokens, a large negative number at
-    padding). Inside the node each operand is [B, heads, n, dk] with zero rows
-    at pad slots, so a padded key gets probability exactly 0; q's rows come out.
+    ``mask`` is a padded batch's [B, n] grid, True at its real tokens (an
+    integer mask is read as booleans). ``k`` and ``v`` pack its True slots
+    row-major; ``q`` is packed the same way or is one [B, d] row per sample,
+    querying as its slot 0. Inside the node each operand is [B, heads, n, dk]
+    with zero rows at pad slots, and every score of a padded key gets
+    ``MASK_NEG`` added, so its probability is exactly 0; q's rows come out.
     Scores are scaled by 1/sqrt(d / heads); the backward keeps only the softmax.
     """
-    (tokens, d), (batch, n), m = k.data.shape[-2:], mask_add.shape[-2:], q.data.shape[0]
-    packed, padded, dk = m == tokens, tokens < batch * n, d // heads
-    if (k.data.ndim != 2 or mask_add.ndim != 2 or v.shape != k.shape or q.data.shape[1:] != (d,) or d % heads
-            or m not in (tokens, batch) or real.shape != (batch * n,) or np.count_nonzero(real) != tokens):
+    mask = np.asarray(mask, dtype=bool)
+    (tokens, d), m = k.data.shape[-2:], q.data.shape[0]
+    if (k.data.ndim != 2 or mask.ndim != 2 or v.shape != k.shape or q.data.shape[1:] != (d,) or d % heads
+            or m not in (tokens, mask.shape[0]) or np.count_nonzero(mask) != tokens):
         raise ShapeError(f"attention needs [tokens or B, d] q, [tokens, d] k and v, d divisible by {heads}, "
-                         "a [B, n] mask_add and a [B * n] real mask with one True slot per token")
+                         "and a [B, n] mask with one True slot per token")
+    (batch, n), dk = mask.shape, d // heads
+    real, packed, padded = mask.reshape(-1), m == tokens, tokens < mask.size
     scale = 1.0 / np.sqrt(dk)
 
     def split(a: np.ndarray, grid: bool) -> np.ndarray:
@@ -330,7 +333,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, real: np.ndarray, mask_add: np.nd
     with np.errstate(invalid="ignore"):  # inf * 0 at a pad slot is nan: the finiteness check raises
         probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
-    probs += mask_add.reshape(batch, 1, 1, n)
+    probs += np.where(mask, 0.0, MASK_NEG).reshape(batch, 1, 1, n)
     if not np.isfinite(probs).all():
         raise NumericError("softmax received non-finite logits")
     probs -= probs.max(axis=-1, keepdims=True)
@@ -500,14 +503,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, gain, bias), "layer_norm", back)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout drawn from ``rng``; the identity when ``rng`` is None (evaluation). If ``x``
-    packs the True rows of a padded grid's boolean mask ``rows``, the keep-mask is drawn at the
-    grid's shape and its True rows kept, so ``rng`` advances as for the padded tensor."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with a keep-mask drawn from ``rng`` at ``x``'s shape; the identity without ``rng``."""
     if rng is None or rate == 0.0:
         return x
-    keep = rng.random(x.shape if rows is None else (rows.size, *x.shape[1:])) >= rate
-    keep = keep if rows is None else keep[rows]
+    keep = rng.random(x.shape) >= rate
     inv = 1.0 / (1.0 - rate)
 
     def back(g: np.ndarray) -> None:

@@ -66,8 +66,10 @@ class TrainConfig:
             raise ConfigError("learning_rate, batch_size, and epochs must be positive")
         if self.grad_accumulation_steps < 1:
             raise ConfigError("grad_accumulation_steps must be >= 1")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
+        if self.warmup < 0 or (self.warmup >= 1 and self.warmup % 1):
+            raise ConfigError(f"warmup must be a fraction in [0, 1) or a whole step count, got {self.warmup}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1 when set")
         if self.max_seq_len < 2:

@@ -1,0 +1,63 @@
+"""Golden outputs of a checkout, for comparing two commits bit for bit.
+
+Prints one line per output: floats as ``float.hex`` and arrays as the
+SHA-256 of their bytes.
+- desk_train and mid_train: the epoch losses, the final parameters and the
+  best-epoch parameters of one seeded training run on perfbench's workload
+  inputs;
+- desk_eval: the predictions and confidences of ``predict`` on perfbench's
+  4,000 eval lines;
+- gradcheck: every row of ``run_gradcheck("all")``.
+
+The inputs are those perfbench builds at seed 3. The script only reads them
+and writes nothing outside a temporary directory. Run it from any directory,
+naming the checkout whose ``src/`` and ``perfbench/`` it imports (default:
+the checkout that holds this file), then ``diff`` two outputs:
+
+    OPENBLAS_NUM_THREADS=1 python tests/fixtures/golden.py [CHECKOUT] > golden.txt
+"""
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[2]).resolve()
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import workloads as W  # noqa: E402
+
+from cmhl import data as D  # noqa: E402
+from cmhl import diagnostics  # noqa: E402
+from cmhl import training as TR  # noqa: E402
+
+SEED = 3
+
+
+def sha(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    print(f"cmhl from {D.__file__}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("desk_train", "mid_train"):
+            w = W.WORKLOADS[name](SEED, Path(tmp))
+            result = TR.train(w.model, w.vocab, w.train_set, w.config, validation=w.val_set, lexicon=w.lexicon)
+            params = w.model.parameters()
+            print(name, "losses", *(float(x).hex() for x in result.epoch_losses))
+            print(name, "params", sha(params[k].data for k in sorted(params)))
+            print(name, "best_params", sha(result.best_params[k] for k in sorted(result.best_params)))
+        w = W.WORKLOADS["desk_eval"](SEED, Path(tmp))
+        examples, _ = D.load_corpus(w.corpus, w.schema)
+        preds, confs = TR.predict(w.model, examples, w.vocab, w.config)
+        print("desk_eval predictions", sha([preds.astype(np.int64)]), "confidences", sha([confs]))
+    for row in diagnostics.run_gradcheck("all"):
+        print("gradcheck", f"{row.component}/{row.target}", float(row.error).hex())
+
+
+if __name__ == "__main__":
+    main()

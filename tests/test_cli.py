@@ -251,6 +251,16 @@ class TestTrain:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["config"]["seed"] == 99
 
+    @pytest.mark.parametrize("where, seed", [("config", -1), ("env", -3)], ids=["config", "env"])
+    def test_negative_seed_exits_config_error(self, tmp_path, corpus, capsys, monkeypatch, where, seed):
+        # NumPy's seeding would raise "expected non-negative integer" mid-run
+        if where == "env":
+            monkeypatch.setenv("CMHL_SEED", str(seed))
+        config = toy_config(tmp_path, **({"seed": seed} if where == "config" else {}))
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"seed must be >= 0, got {seed}" in err and "Traceback" not in err
+
     def test_unknown_config_key_rejected(self, tmp_path, corpus):
         rc = main(["train", "--config", str(toy_config(tmp_path, optimizer="sgd"))])
         assert rc == EXIT_CONFIG
@@ -294,6 +304,7 @@ class TestTrain:
             ({"train": {"p_synonym": 1.5, "augment": True}}, "p_synonym"),
             ({"train": {"p_synonym": 1.5}}, "p_synonym"),
             ({"train": {"p_deletion": -0.5}}, "p_deletion"),
+            ({"train": {"warmup": 1.5}}, "warmup must be a fraction in [0, 1) or a whole step count, got 1.5"),
         ],
     )
     def test_malformed_top_level_value(self, tmp_path, corpus, capsys, overrides, key):
@@ -314,6 +325,7 @@ class TestTrain:
             loaded = load_run_config(tmp_path / "config.json")
         except ConfigError:
             return
+        assert loaded.train.seed >= 0
         for record in (loaded.train, loaded.encoder, loaded.loss_weights):
             hints = typing.get_type_hints(type(record))
             for name in (f.name for f in dataclasses.fields(record) if hints[f.name] is float):
@@ -608,7 +620,7 @@ class TestEval:
          "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task", "not_utf8",
          "nan_learning_rate", "infinite_alpha1", "vocab_min_frequency_string", "vocab_tokens_string",
          "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside", "emotion_loss_weights_null",
-         "mental_health_loss_weights_object"],
+         "mental_health_loss_weights_object", "negative_seed"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -679,6 +691,7 @@ class TestEval:
                 "float_batch_size": ("train", "batch_size", 2.5, "'train.batch_size'"),
                 "float_layers": ("encoder", "layers", 1.5, "'encoder.layers'"),
                 "negative_layers": ("encoder", "layers", -1, "encoder dimensions must be positive"),
+                "negative_seed": ("train", "seed", -1, "seed must be >= 0, got -1"),
                 "validation_fraction_one": ("train", "validation_fraction", 1.0, "validation_fraction"),
                 "seq_len_past_positions": ("train", "max_seq_len", 32, "max_seq_len 32 exceeds encoder max_positions 16"),
                 "nan_learning_rate": ("train", "learning_rate", float("nan"), "'train.learning_rate' must be a finite"),

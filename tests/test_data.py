@@ -270,6 +270,14 @@ class TestEncodeBatch:
         np.testing.assert_array_equal(batch.token_ids, [[CLS_ID, hello, hello, PAD_ID]])
         np.testing.assert_array_equal(batch.attention_mask, [[1, 1, 1, 0]])
 
+    def test_packing_maps_derive_from_the_boolean_mask(self):
+        vocab = build_vocab([LabeledExample(text="a b c d e", emotion=0)], min_freq=1)
+        texts = ["a b", "a b c d e", ""]
+        batch = encode_batch([LabeledExample(text=t, emotion=0) for t in texts], vocab, max_len=5)
+        assert batch.attention_mask.dtype == bool
+        np.testing.assert_array_equal(batch.positions, [0, 1, 2, 0, 1, 2, 3, 4, 0])
+        np.testing.assert_array_equal(batch.cls, [0, 3, 8])  # each text's [CLS] among the 9 packed rows
+
     def test_truncation_to_cap(self):
         text = " ".join(f"w{i}" for i in range(300))
         vocab = build_vocab([LabeledExample(text=text, emotion=0)], min_freq=1)

@@ -8,7 +8,7 @@ import pytest
 from cmhl import tensor as T
 from cmhl.affect import LossWeights
 from cmhl.data import LabeledExample, build_vocab, encode_batch
-from cmhl.encoder import MASK_NEG, Encoder, EncoderConfig, Model
+from cmhl.encoder import Encoder, EncoderConfig, Model
 from cmhl.errors import ConfigError, ShapeError
 from cmhl.training import TASKS, read_schema
 
@@ -37,7 +37,7 @@ def full_sequence_cls(enc, batch):
     b, n = ids.shape
     d = enc.config.hidden
     dk = d // heads
-    mask_add = T.tensor(((batch.attention_mask.astype(np.float64) - 1.0) * -MASK_NEG).reshape(b, 1, 1, n))
+    mask_add = T.tensor(np.where(batch.attention_mask, 0.0, T.MASK_NEG).reshape(b, 1, 1, n))
 
     def affine(t, w, bias):
         return T.matmul(t, p[w]) + p[bias]
@@ -78,6 +78,19 @@ class TestShapesAndDeterminism:
         b = enc.forward(batch, rng=np.random.default_rng(5)).data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_dropout_draws_only_for_real_tokens(self, layers):
+        # the embedding and every block but the last drop out packed [tokens, d] rows; the last
+        # block's two sites drop out the [B, d] CLS rows; no site draws for a pad slot
+        batch, vocab = toy_batch(["a b c d e", "f", "g h"], max_len=8)
+        tokens, (b, n), d = int(batch.attention_mask.sum()), batch.attention_mask.shape, 8
+        assert tokens == 11 < b * n
+        rng = np.random.default_rng(17)
+        toy_encoder(vocab, layers=layers, dropout=0.2).forward(batch, rng=rng)
+        want = np.random.default_rng(17)
+        want.random((1 + 2 * (layers - 1)) * tokens * d + 2 * b * d)
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_position_order_matters(self):
         # the CLS vector sees the word order through attention over position embeddings
         batch, vocab = toy_batch(["cat dog", "dog cat"])
@@ -99,21 +112,19 @@ class TestMaskingAndNorm:
         # batch row 1 has two padded slots at positions 2 and 3, so 6 packed rows
         rng = np.random.default_rng(seed)
         qkv = [rng.normal(size=(6, 8)) for _ in range(3)]
-        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
-        return qkv, mask.reshape(-1) != 0, (mask - 1.0) * -MASK_NEG
+        return qkv, np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=bool)
 
     def test_masked_keys_get_zero_attention(self):
         # row 1 attends as if alone in an unpadded batch of width 2
-        (q, k, v), real, mask_add = self._qkv_and_mask()
-        both = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), real, mask_add, 2).data
-        unpadded = np.ones(2, dtype=bool)
-        alone = T.attention(T.tensor(q[4:]), T.tensor(k[4:]), T.tensor(v[4:]), unpadded, np.zeros((1, 2)), 2)
+        (q, k, v), mask = self._qkv_and_mask()
+        both = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), mask, 2).data
+        alone = T.attention(T.tensor(q[4:]), T.tensor(k[4:]), T.tensor(v[4:]), np.ones((1, 2), dtype=bool), 2)
         np.testing.assert_allclose(both[4:], alone.data, rtol=0, atol=1e-15)
 
     def test_attention_rows_sum_to_one(self):
         # with v = 1 every context row is the sum of that query's probabilities
-        (q, k, _), real, mask_add = self._qkv_and_mask(1)
-        out = T.attention(T.tensor(q), T.tensor(k), T.ones(6, 8), real, mask_add, 2)
+        (q, k, _), mask = self._qkv_and_mask(1)
+        out = T.attention(T.tensor(q), T.tensor(k), T.ones(6, 8), mask, 2)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
     def test_layer_norm_statistics(self):

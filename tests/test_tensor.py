@@ -341,10 +341,10 @@ class TestAttention:
 
     rng = np.random.default_rng(13)
     # row 1 pads its last two slots, row 2 pads one: 9 of the 12 slots hold a token
-    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]])
-    real = mask.reshape(-1) != 0
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
+    real = mask.reshape(-1)
     cls = np.array([0, 4, 6])  # each sample's slot 0 among the 9 packed rows
-    mask_add = (mask - 1.0) * 1e9
+    mask_add = (mask - 1.0) * 1e9  # the unfused reference's additive form
 
     def _qkv(self):
         return [self.rng.normal(size=(9, 6)) for _ in range(3)]
@@ -355,7 +355,7 @@ class TestAttention:
         return grid.reshape(3, 4, -1)
 
     def _attend(self, q, k, v, heads=2):
-        return T.attention(q, k, v, self.real, self.mask_add, heads)
+        return T.attention(q, k, v, self.mask, heads)
 
     @pytest.mark.parametrize(
         "requires", [(True, True, True), (True, False, False), (False, True, False), (False, False, True)]
@@ -405,7 +405,7 @@ class TestAttention:
         # without padding the packed rows are the grid itself
         q, k, v = (self.rng.normal(size=(3, 4, 6)) for _ in range(3))
         got = T.attention(T.tensor(q.reshape(12, 6)), T.tensor(k.reshape(12, 6)), T.tensor(v.reshape(12, 6)),
-                          np.ones(12, dtype=bool), np.zeros((3, 4)), 2)
+                          np.ones((3, 4), dtype=bool), 2)
         want = _unfused_attention(T.tensor(q), T.tensor(k), T.tensor(v), np.zeros((3, 4)), 2)
         np.testing.assert_allclose(got.data, want.data.reshape(12, 6), rtol=0, atol=1e-12)
 
@@ -430,17 +430,25 @@ class TestAttention:
         with pytest.raises(ShapeError):
             self._attend(q, k, v, 4)
         with pytest.raises(ShapeError):  # a mask for 2 of the 3 samples
-            T.attention(q, k, v, self.real[:8], self.mask_add[:2], 2)
+            T.attention(q, k, v, self.mask[:2], 2)
+        with pytest.raises(ShapeError):  # a flat [B * n] mask
+            T.attention(q, k, v, self.real, 2)
         with pytest.raises(ShapeError):  # keys and values of different lengths
             self._attend(q, k, T.tensor(v.data[:8]))
-        with pytest.raises(ShapeError):  # a real mask with another token count than the keys
-            T.attention(q, k, v, np.ones(12, dtype=bool), self.mask_add, 2)
+        with pytest.raises(ShapeError):  # a mask with another token count than the keys
+            T.attention(q, k, v, np.ones((3, 4), dtype=bool), 2)
         with pytest.raises(ShapeError):  # queries neither packed nor one per sample
             self._attend(T.tensor(q.data[:4]), k, v)
         with pytest.raises(ShapeError):  # queries of another width than the keys
             self._attend(T.tensor(q.data[:, :4]), k, v)
         with pytest.raises(ShapeError):  # padded [B, n, d] keys
-            T.attention(q, T.tensor(self._padded(k.data)), T.tensor(self._padded(v.data)), self.real, self.mask_add, 2)
+            T.attention(q, T.tensor(self._padded(k.data)), T.tensor(self._padded(v.data)), self.mask, 2)
+
+    def test_integer_mask_is_read_as_booleans(self):
+        # as indices, the 0/1 entries would pick rows 0 and 1 of the grid, not the real slots
+        q, k, v = (T.tensor(a) for a in self._qkv())
+        got = T.attention(q, k, v, self.mask.astype(np.int64), 2)
+        assert got.data.tobytes() == self._attend(q, k, v).data.tobytes()
 
 
 class TestGradientOwnership:
@@ -610,14 +618,6 @@ class TestPrimitiveGradients:
         out = T.dropout(x, 0.5, None)
         assert out is x
         _check(lambda t: T.dropout(t, 0.5, None).sum(), x)
-
-    def test_dropout_packed_rows_draw_the_padded_stream(self):
-        # the keep-mask of the rows a [3, 4] grid packs is that grid's mask at those rows
-        real = np.array([1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
-        x = self.rng.normal(size=(12, 5))
-        padded = T.dropout(T.tensor(x), 0.3, np.random.default_rng(9)).data
-        packed = T.dropout(T.tensor(x[real]), 0.3, np.random.default_rng(9), real).data
-        assert packed.tobytes() == padded[real].tobytes()
 
     def test_dropout_train_gradient(self):
         x = T.tensor(self.rng.normal(size=(5, 5)), requires_grad=True)

@@ -612,9 +612,6 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, vocab, examples, config)
 
-    @pytest.mark.xfail(strict=True, reason="augmentation_rng(seed, e, j) seeds [seed, e, j], and SeedSequence ignores "
-                       "trailing zeros: e=4 is epoch j's shuffle, e=7 the dropout of epoch j's first micro-batch, "
-                       "and (e, 0) for e=1 or 2 a model's init stream")
     def test_seeded_streams_are_pairwise_distinct(self, default_schema, monkeypatch):
         """Every generator a seeded run draws from (the split, both tasks' model streams, each
         epoch's shuffle, each example's augmentation, each micro-batch's dropout) starts from its
