@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, check_fields
+from .errors import ConfigError, SchemaError, read_record
 
 VALENCE_LABELS = ("positive", "negative", "neutral")
 INTENSITY_LABELS = ("high", "low")
@@ -175,7 +175,8 @@ class AffectSchema:
     @classmethod
     def from_jsonable(cls, raw: dict) -> "AffectSchema":
         """Inverse of ``to_jsonable``; absent fields take the default schema's values."""
-        return cls.build(**vars(_SchemaFile(**check_fields(_SchemaFile, raw))))
+        f = read_record(_SchemaFile, raw)
+        return cls.build(f.emotions, f.positive, f.negative, f.coords, f.tau0, f.scale, f.high)
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between two emotions' coordinates, over the largest pair distance."""

@@ -21,7 +21,7 @@ from .affect import INTENSITY_LABELS, VALENCE_LABELS, LossWeights
 from .data import build_vocab, label_index, load_synonyms, scan_jsonl, split_examples
 from .diagnostics import SCOPES, TOLERANCE, run_gradcheck
 from .encoder import EncoderConfig, Model
-from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
+from .errors import ConfigError, DataError, NumericError, read_json_object, read_record
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -59,35 +59,29 @@ class Paths:
 class RunConfig:
     """A resolved run config; ``dataclasses.asdict`` of it is the summary's ``config``."""
 
-    task: str
-    seed: int
-    paths: Paths
-    train: TrainConfig
-    encoder: EncoderConfig
-    loss_weights: LossWeights
-    vocab_min_freq: int
+    task: str = "emotion"
+    seed: int = 0
+    paths: Paths = Paths()
+    train: TrainConfig = TrainConfig()
+    encoder: EncoderConfig = EncoderConfig()
+    loss_weights: LossWeights = LossWeights()
+    vocab_min_freq: int = 1
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    raw = check_fields(RunConfig, read_json_object(path, "config"))
-    task = raw.get("task", "emotion")
-    preset = task_record(task).preset
+    raw = read_json_object(path, "config")
+    cfg = read_record(RunConfig, raw)
     if "seed" in raw.get("train", {}):
         raise ConfigError("set the seed at the top level, not inside 'train'")
-
-    seed = raw.get("seed", 0)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            cfg.seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
-
-    train_config = TrainConfig(**{**preset, **raw.get("train", {}), "seed": seed})
-    return RunConfig(  # each section over its defaults, the task's preset for train
-        task, seed, Paths(**raw.get("paths", {})), train_config, EncoderConfig(**raw.get("encoder", {})),
-        LossWeights(**raw.get("loss_weights", {})), raw.get("vocab_min_freq", 1),
-    )
+    preset = task_record(cfg.task).preset  # the train section overrides the task's preset, not TrainConfig's defaults
+    cfg.train = read_record(TrainConfig, {**preset, **raw.get("train", {}), "seed": cfg.seed}, "train")
+    return cfg
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -132,7 +126,10 @@ def cmd_train(args) -> int:
     train_examples, val_examples = split_examples(corpus, cfg.seed, cfg.train.validation_fraction, validation)
 
     vocab = build_vocab(train_examples, cfg.vocab_min_freq)
-    model = Model.build(cfg.encoder, len(vocab), head, cfg.seed)
+    try:
+        model = Model.build(cfg.encoder, len(vocab), head, cfg.seed)
+    except MemoryError:  # NumPy refuses a parameter array past what the machine can address
+        raise ConfigError(f"the 'encoder' section's model does not fit in memory: {cfg.encoder}") from None
 
     lexicon = load_synonyms(cfg.paths.lexicon) if cfg.train.augment and cfg.paths.lexicon else None
 

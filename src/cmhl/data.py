@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .affect import AffectSchema
-from .errors import ConfigError, DataError, SchemaError, check_fields
+from .errors import ConfigError, DataError, SchemaError, read_record
 
 CLS_TOKEN, PAD_TOKEN, UNK_TOKEN = "[CLS]", "[PAD]", "[UNK]"
 CLS_ID, PAD_ID, UNK_ID = 0, 1, 2
@@ -81,7 +81,7 @@ class MHLabelSchema:
     @classmethod
     def from_jsonable(cls, raw: dict) -> "MHLabelSchema":
         """Inverse of ``to_jsonable``; absent fields take their defaults."""
-        return cls(**check_fields(cls, raw))
+        return read_record(cls, raw)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -267,20 +267,19 @@ def split_examples(
 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
     """(train, validation): the train rows and ``validation`` when it is
     given, else the per-line split fields when present, else a seeded
-    shuffle split."""
-    if validation is not None:
-        return [ex for ex in examples if ex.is_train], validation
-    if any(ex.split is not None for ex in examples):
-        train = [ex for ex in examples if ex.is_train]
+    shuffle split; a DataError unless both are non-empty."""
+    if validation is None and any(ex.split is not None for ex in examples):
         validation = [ex for ex in examples if ex.is_validation]
-        if not validation:
-            raise DataError("corpus declares split fields but no validation rows")
-        return train, validation
-    order = np.random.default_rng([seed, 0x5EED]).permutation(len(examples))
-    n_val = max(1, int(round(len(examples) * validation_fraction)))
-    val_idx = set(order[:n_val].tolist())
-    train = [ex for i, ex in enumerate(examples) if i not in val_idx]
-    validation = [ex for i, ex in enumerate(examples) if i in val_idx]
+    if validation is not None:
+        train = [ex for ex in examples if ex.is_train]
+    else:
+        order = np.random.default_rng([seed, 0x5EED]).permutation(len(examples))
+        val_idx = set(order[: max(1, int(round(len(examples) * validation_fraction)))].tolist())
+        train = [ex for i, ex in enumerate(examples) if i not in val_idx]
+        validation = [ex for i, ex in enumerate(examples) if i in val_idx]
+    if not train or not validation:
+        counts = f"{len(train)} train and {len(validation)} validation examples"
+        raise DataError(f"training requires non-empty train and validation sets, got {counts}")
     return train, validation
 
 

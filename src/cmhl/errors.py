@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the one reader of JSON records (run
-configs, affect and label schema files, checkpoint manifests): ``check_fields`` reads a
-JSON object as a dataclass's fields by their type hints and names each offender by its
-dotted path (``'train.epochs'``, ``'coords.joy'``, ``'vocab.tokens'``). Range and
-cross-field rules stay in each record's ``__post_init__``. The CLI maps the errors onto
-exit codes: ConfigError -> 2, DataError -> 3, NumericError -> 4.
+configs, affect and label schema files, checkpoint manifests): ``read_record`` builds a
+dataclass from a JSON object by its fields' type hints, nested records included, and names
+each offender, an unknown or missing key among them, by its dotted path (``'train.epochs'``,
+``'coords.joy'``) or its section (``'vocab'``). Range and cross-field rules stay in each
+record's ``__post_init__``. The CLI maps the errors onto exit codes: ConfigError -> 2,
+DataError -> 3, NumericError -> 4.
 """
 
 import dataclasses
@@ -49,14 +50,16 @@ def read_json_object(path: str | Path, kind: str, error: type[Exception] = Confi
     return raw
 
 
-def check_fields(cls: type, values: dict, section: str = "") -> dict:
-    """``values`` read as dataclass ``cls``'s init fields by their type hints (a list as a tuple, a dataclass
-    as its checked dict; absent fields stay absent), else a ConfigError naming the dotted path of the offender."""
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls) if f.init})
-    if unknown:
-        raise ConfigError(f"unknown keys in {section or 'top-level'!r} section: {unknown}")
-    return {key: _read(hints[key], value, f"{section}.{key}" if section else key) for key, value in values.items()}
+def read_record(cls: type, values: dict, section: str = ""):
+    """Dataclass ``cls`` built from ``values`` read by its init fields' type hints (a list as a tuple, an object
+    as a nested record; absent fields take their defaults), else a ConfigError naming the offender's dotted path."""
+    hints, fields = typing.get_type_hints(cls), [f for f in dataclasses.fields(cls) if f.init]
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+    for problem, keys in ("unknown", set(values) - {f.name for f in fields}), ("missing", required - set(values)):
+        if keys:
+            raise ConfigError(f"{problem} keys in {section or 'top-level'!r} section: {sorted(keys)}")
+    read = {key: _read(hints[key], value, f"{section}.{key}" if section else key) for key, value in values.items()}
+    return cls(**read)
 
 
 def _describe(kind) -> str:
@@ -78,7 +81,7 @@ def _read(kind, value, key: str, expected: str = ""):
     if origin is types.UnionType:  # X | None
         return None if value is None else _read(args[0], value, key, _describe(kind))
     if dataclasses.is_dataclass(kind) and isinstance(value, dict):
-        return check_fields(kind, value, key)
+        return read_record(kind, value, key)
     if origin is dict and isinstance(value, dict):
         return {k: _read(args[1], v, f"{key}.{k}") for k, v in value.items()}
     variadic = origin is tuple and args[-1] is Ellipsis  # from a JSON list, or a record's tuple in memory

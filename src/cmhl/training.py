@@ -32,7 +32,7 @@ from .data import (
     split_examples,
 )
 from .encoder import EncoderConfig, Model
-from .errors import ConfigError, DataError, NumericError, check_fields, read_json_object
+from .errors import ConfigError, DataError, NumericError, read_json_object, read_record
 from .heads import EmotionModel
 from .mh import MHModel
 
@@ -322,8 +322,6 @@ def train(
     if config.augment and lexicon is None:
         lexicon = default_lexicon()
     train_examples, val_examples = split_examples(corpus, config.seed, config.validation_fraction, validation)
-    if not train_examples or not val_examples:
-        raise DataError("training requires non-empty train and validation sets")
 
     params = model.parameters()
     optimizer = AdamW(params, config.weight_decay)
@@ -502,29 +500,16 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     if manifest.get("format") != 1:
         raise DataError(f"{manifest_path}: format {manifest.get('format')!r} is not 1")
     try:
-        m = check_fields(_Manifest, manifest)
+        m = read_record(_Manifest, manifest)
         tensors = {}
-        for entry in (_TensorEntry(**e) for e in m["tensors"]):
+        for entry in m.tensors:
             raw = (directory / entry.file).read_bytes()
             if len(raw) != 8 * math.prod(entry.shape):
                 raise DataError(f"tensor file {entry.file}: {len(raw)} bytes, expected {8 * math.prod(entry.shape)}")
             tensors[entry.name] = np.frombuffer(raw, dtype="<f8").reshape(entry.shape).copy()
-        encoder_config, train_config = EncoderConfig(**m["encoder"]), TrainConfig(**m["train"])
-        check_seq_len(encoder_config, train_config)
-        return Checkpoint(
-            task=m["task"],
-            encoder_config=encoder_config,
-            train_config=train_config,
-            loss_weights=None if m["loss_weights"] is None else LossWeights(**m["loss_weights"]),
-            vocab=Vocabulary(**m["vocab"]),
-            schema_json=m["schema"],
-            epoch=m["epoch"],
-            metrics=None if m["metrics"] is None else Metrics(**m["metrics"]),
-            tensors=tensors,
-        )
-    except KeyError as exc:
-        raise DataError(f"{manifest_path}: missing key {exc}") from None
-    except (TypeError, ConfigError) as exc:  # a section's required field absent; a value of the wrong type or range
+        check_seq_len(m.encoder, m.train)
+        return Checkpoint(m.task, m.encoder, m.train, m.loss_weights, m.vocab, m.schema, m.epoch, m.metrics, tensors)
+    except ConfigError as exc:  # a key unknown or missing; a value of the wrong type or range
         raise DataError(f"{manifest_path}: malformed value: {exc}") from None
     except (DataError, OSError) as exc:  # a tensor file that is missing, unreadable or of the wrong size
         raise DataError(f"{manifest_path}: {exc}") from None

@@ -23,7 +23,7 @@ from cmhl.affect import DEFAULT_COORDS, DEFAULT_EMOTIONS, AffectSchema, LossWeig
 from cmhl.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, Paths, load_run_config, main
 from cmhl.data import MHLabelSchema, Vocabulary, load_corpus, split_examples
 from cmhl.encoder import EncoderConfig
-from cmhl.errors import ConfigError
+from cmhl.errors import ConfigError, read_record
 from cmhl.training import (
     Checkpoint,
     Metrics,
@@ -260,6 +260,29 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"seed must be >= 0, got {seed}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lines, counts", [
+        ([], "0 train and 0 validation"),
+        ([{"text": "a fine day", "label": "joy"}], "0 train and 1 validation"),
+        ([{"text": "a fine day", "label": "joy", "split": "train"}] * 2, "2 train and 0 validation"),
+    ], ids=["empty", "one_line", "no_validation_split"])
+    def test_corpus_too_small_to_split_exits_data_error(self, tmp_path, capsys, lines, counts):
+        (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["train", "--config", str(toy_config(tmp_path))]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"got {counts} examples" in err and "Traceback" not in err
+
+    def test_encoder_past_memory_exits_config_error(self, tmp_path, corpus, capsys):
+        # NumPy refuses the 10**15-row position table (56.8 PiB) without allocating any of it
+        config = toy_config(tmp_path, encoder={**TOY_ENCODER, "max_positions": 10**15})
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'encoder' section" in err and "max_positions=1000000000000000" in err
+
+    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
+    def test_run_config_round_trips_through_its_reader(self, tmp_path, task):
+        loaded = load_run_config(toy_config(tmp_path, task=task))
+        assert read_record(cmhl.cli.RunConfig, json.loads(json.dumps(dataclasses.asdict(loaded)))) == loaded
 
     def test_unknown_config_key_rejected(self, tmp_path, corpus):
         rc = main(["train", "--config", str(toy_config(tmp_path, optimizer="sgd"))])
@@ -620,7 +643,8 @@ class TestEval:
          "seq_len_past_positions", "schema_tau0_string", "schema_emotions_int", "unknown_task", "not_utf8",
          "nan_learning_rate", "infinite_alpha1", "vocab_min_frequency_string", "vocab_tokens_string",
          "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside", "emotion_loss_weights_null",
-         "mental_health_loss_weights_object", "negative_seed"],
+         "mental_health_loss_weights_object", "negative_seed", "missing_vocab_tokens", "missing_tensor_file",
+         "missing_metrics_macro_f1"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -674,6 +698,12 @@ class TestEval:
             entry["file"] = str(outside)
             manifest_path.write_text(json.dumps(manifest))
             offender = f"tensor {entry['name']!r}: file {str(outside)!r}"
+        elif corruption.startswith("missing_"):  # a required key of a nested record, named with its section
+            section, key = {"missing_vocab_tokens": ("vocab", "tokens"), "missing_tensor_file": ("tensors", "file"),
+                            "missing_metrics_macro_f1": ("metrics", "macro_f1")}[corruption]
+            del (manifest["tensors"][0] if section == "tensors" else manifest[section])[key]
+            manifest_path.write_text(json.dumps(manifest))
+            offender = f"missing keys in {section!r} section: [{key!r}]"
         elif corruption == "unknown_task":
             manifest["task"] = "bogus"
             manifest_path.write_text(json.dumps(manifest))

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from cmhl import training
 from cmhl.affect import LossWeights
 from cmhl.data import LabeledExample, MHLabelSchema, augment, build_vocab, default_lexicon, encode_batch, tokenize
 from cmhl.encoder import EncoderConfig, Model
-from cmhl.errors import ConfigError, DataError, NumericError
+from cmhl.errors import ConfigError, DataError, NumericError, read_record
 from cmhl.heads import EmotionModel
 from cmhl.mh import MHModel
 from cmhl.training import (
@@ -742,6 +743,11 @@ class TestPersistence:
         assert abs(after.mean_confidence - before.mean_confidence) < 1e-12
         assert abs(after.combined_score - before.combined_score) < 1e-12
         assert loaded.epoch == result.best_index + 1
+
+        fixtures = Path(__file__).parent / "fixtures" / "checkpoints"  # and both tasks' manifests of 51f723d
+        for directory in (tmp_path / "ckpt", fixtures / "emotion", fixtures / "mental_health"):
+            manifest = read_record(training._Manifest, json.loads((directory / "manifest.json").read_text()))
+            assert read_record(training._Manifest, json.loads(json.dumps(asdict(manifest)))) == manifest
 
     def test_tensor_mismatch_detected(self, default_schema, tmp_path):
         model, vocab, examples = tiny_model_and_corpus(default_schema, n=8, seed=2)
