@@ -2,9 +2,10 @@
 
 Each suite builds the cases for one slice of the system: the loss formulas,
 the encoder stack, or the gating path. A case is ``(component, {target:
-tensor}, objective)``, and ``run_gradcheck`` compares each target's analytic
-gradient of the objective against central finite differences, one row per
-target. Used by the command-line `gradcheck` and by the acceptance tests.
+tensor}, objective)``; ``run_gradcheck`` checks each case with one backward
+pass and central differences, one row per target. The encoder suite has one
+case for the embeddings and one per block, whose loss runs from that block's
+input, computed once. Used by `cmhl gradcheck` and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -62,19 +63,19 @@ def _loss_suite():
     labels_s = np.array([1, -1])
     h_mh = T.tensor(rng.normal(size=(2, d)))
 
-    def mh_objective(_t):
+    def mh_objective():
         pred = MHModel(MHLabelSchema()).forward(h_mh, mh)
         return mh_loss(pred.z_final, pred.z_s, labels_m, labels_s, mh)
 
     return [
         # balanced task loss against the shared input and every head parameter
         ("task_loss", {"h_cls": h_cls, **heads},
-         lambda _t: task_loss(emotion_heads_forward(h_cls, heads), labels, weights)),
+         lambda: task_loss(emotion_heads_forward(h_cls, heads), labels, weights)),
         # exclusivity hinge through the softmax that produces the probabilities
-        ("exclusivity_loss", {"logits": logits}, lambda _t: exclusivity_loss(T.softmax(logits), schema)),
+        ("exclusivity_loss", {"logits": logits}, lambda: exclusivity_loss(T.softmax(logits), schema)),
         # composite objective
         ("total_loss", {"h_cls": h_cls},
-         lambda _t: total_loss(emotion_heads_forward(h_cls, heads), labels, weights, schema)),
+         lambda: total_loss(emotion_heads_forward(h_cls, heads), labels, weights, schema)),
         # adaptive-weight objective, including the learnable weight itself
         ("mh_loss", {"h_cls": h_mh, "mh.beta_raw": mh["mh.beta_raw"]}, mh_objective),
     ]
@@ -85,7 +86,19 @@ def _encoder_suite():
     vocab, batch = _toy_batch()
     cfg = EncoderConfig(layers=2, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     model = EmotionModel.build(cfg, len(vocab), schema, LossWeights(), seed=101)
-    return [("encoder_total_loss", model.encoder.parameters(), lambda _t: model.loss(model.forward(batch), batch))]
+    encoder, params, heads = model.encoder, model.encoder.parameters(), model.head_params
+    with T.no_grad():  # a block's gradients and perturbed losses depend on nothing upstream of its input
+        inputs = [encoder.embed(batch)]
+        for i in range(cfg.layers - 1):
+            inputs.append(encoder.block(i, inputs[i], batch))
+
+    def from_block(i):
+        return lambda: model.loss(model.head.forward(encoder.encode(inputs[i], batch, start=i), heads), batch)
+
+    embeddings = {k: params[k] for k in ("tok_emb", "pos_emb")}
+    return [("encoder_total_loss", embeddings, lambda: model.loss(model.forward(batch), batch))] + [
+        ("encoder_total_loss", {k: t for k, t in params.items() if k.startswith(f"l{i}.")}, from_block(i))
+        for i in range(cfg.layers)]
 
 
 def _gate_suite():
@@ -98,10 +111,10 @@ def _gate_suite():
     model.head_params = heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
     with T.no_grad():  # no head parameter reaches the encoder, so its CLS vector is a constant
         h_cls = model.encoder.forward(batch)
-    return [("gate_mh_loss", heads, lambda _t: model.loss(model.head.forward(h_cls, heads), batch))]
+    return [("gate_mh_loss", heads, lambda: model.loss(model.head.forward(h_cls, heads), batch))]
 
 
-# an objective ignores its argument: it reads its targets, which the check perturbs in place
+# an objective takes no argument: it reads its targets, which the check perturbs in place
 SUITES = {"losses": _loss_suite, "encoder": _encoder_suite, "gate": _gate_suite}
 SCOPES = (*SUITES, "all")
 
@@ -115,7 +128,6 @@ def run_gradcheck(scope: str = "all", corrupt: bool = False) -> list[GradCheckRo
         if scope not in (name, "all"):
             continue
         for component, targets, objective in suite():
-            for target, tensor in targets.items():
-                offset = 1.0 if corrupt and not rows else 0.0
-                rows.append(GradCheckRow(component, target, T.finite_diff_check(objective, tensor, grad_offset=offset)))
+            errors = T.finite_diff_check(objective, targets, grad_offset=1.0 if corrupt and not rows else 0.0)
+            rows.extend(GradCheckRow(component, target, error) for target, error in errors.items())
     return rows

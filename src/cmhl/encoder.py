@@ -78,29 +78,33 @@ class Encoder:
         h = tokens + T.embedding(self.params["pos_emb"], batch.positions)
         return T.dropout(h, self.config.dropout, rng)
 
-    def encode(self, h0: T.Tensor, batch: Batch, *, rng=None) -> T.Tensor:
-        """The [B, d] CLS vectors of ``batch`` from its packed [tokens, d] embeddings ``h0``."""
-        cfg = self.config
-        x = h0
-        p = self.params
-        for i in range(cfg.layers):
-            xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-            k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "kv")
-            if i == cfg.layers - 1:  # the heads read only the CLS rows: the rest of the block computes just them
-                x, xn = T.gather(x, batch.cls, axis=0), T.gather(xn, batch.cls, axis=0)
-            q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
-            ctx = T.attention(q, k, v, batch.attention_mask, cfg.heads)
-            out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
-            x = x + T.dropout(out, cfg.dropout, rng)
+    def block(self, i: int, x: T.Tensor, batch: Batch, rng=None) -> T.Tensor:
+        """Block ``i`` on the packed [tokens, d] stream ``x``: the next block's input, or the last block's [B, d] CLS
+        rows. Only ``x`` and ``rng``'s state carry what precedes it, so kept copies of both stand for all of that."""
+        cfg, p = self.config, self.params
+        xn = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
+        k, v = (T.linear(xn, p[f"l{i}.attn.w{c}"], p[f"l{i}.attn.b{c}"]) for c in "kv")
+        if i == cfg.layers - 1:  # the heads read only the CLS rows: the rest of the block computes just them
+            x, xn = T.gather(x, batch.cls, axis=0), T.gather(xn, batch.cls, axis=0)
+        q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        ctx = T.attention(q, k, v, batch.attention_mask, cfg.heads)
+        out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+        x = x + T.dropout(out, cfg.dropout, rng)
 
-            yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-            hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
-            ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
-            x = x + T.dropout(ffn_out, cfg.dropout, rng)
+        yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
+        hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
+        ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+        x = x + T.dropout(ffn_out, cfg.dropout, rng)
 
-            if not np.isfinite(x.data).all():
-                raise NumericError(f"non-finite activations after encoder layer {i}")
-        return x if cfg.layers else T.gather(x, batch.cls, axis=0)
+        if not np.isfinite(x.data).all():
+            raise NumericError(f"non-finite activations after encoder layer {i}")
+        return x
+
+    def encode(self, x: T.Tensor, batch: Batch, *, rng=None, start: int = 0) -> T.Tensor:
+        """The [B, d] CLS vectors of ``batch`` from ``x``, the packed [tokens, d] input of block ``start``."""
+        for i in range(start, self.config.layers):
+            x = self.block(i, x, batch, rng)
+        return x if self.config.layers else T.gather(x, batch.cls, axis=0)
 
     def forward(self, batch: Batch, *, rng=None) -> T.Tensor:
         return self.encode(self.embed(batch, rng=rng), batch, rng=rng)

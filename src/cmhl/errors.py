@@ -8,11 +8,14 @@ DataError -> 3, NumericError -> 4.
 """
 
 import dataclasses
+import functools
 import json
 import sys
 import types
 import typing
 from pathlib import Path
+
+_type_hints = functools.cache(lambda cls: types.MappingProxyType(typing.get_type_hints(cls)))  # per class, read-only
 
 
 class ConfigError(ValueError):
@@ -53,7 +56,7 @@ def read_json_object(path: str | Path, kind: str, error: type[Exception] = Confi
 def read_record(cls: type, values: dict, section: str = ""):
     """Dataclass ``cls`` built from ``values`` read by its init fields' type hints (a list as a tuple, an object
     as a nested record; absent fields take their defaults), else a ConfigError naming the offender's dotted path."""
-    hints, fields = typing.get_type_hints(cls), [f for f in dataclasses.fields(cls) if f.init]
+    hints, fields = _type_hints(cls), [f for f in dataclasses.fields(cls) if f.init]
     required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
     for problem, keys in ("unknown", set(values) - {f.name for f in fields}), ("missing", required - set(values)):
         if keys:

@@ -600,36 +600,37 @@ def backward(loss: Tensor) -> None:
 # -- gradient verification -----------------------------------------------------
 
 
-def finite_diff_check(fn: Callable[[Tensor], Tensor], point: Tensor, grad_offset: float = 0.0) -> float:
-    """Max relative error between analytic and central-difference gradients, step ``FD_EPS``.
+def finite_diff_check(fn: Callable[[], Tensor], targets: dict[str, Tensor], grad_offset: float = 0.0) -> dict:
+    """Each target's max relative error between analytic and central-difference gradients, step ``FD_EPS``.
 
-    ``fn`` must be a deterministic map from ``point`` to a scalar Tensor; two
-    forward passes are compared to detect nondeterminism. ``grad_offset``
-    perturbs the analytic gradient before comparison and exists purely as a
-    negative-control hook for self-tests.
+    ``fn`` is a deterministic no-argument objective giving a scalar Tensor. It reads ``targets``, which the
+    check perturbs in place, element by element in C order whatever their memory layout. Two forward passes
+    detect nondeterminism, one ``backward`` gives every analytic gradient, and a last forward pass must equal
+    the first bit for bit, so every perturbation was restored. ``grad_offset`` perturbs the first target's
+    analytic gradient before comparison and exists purely as a negative-control hook for self-tests.
     """
     with no_grad():
-        first = np.array(fn(point).data, copy=True)
-        second = fn(point).data
-    if not np.array_equal(first, second):
-        raise DeterminismError("fn produced different values on identical inputs")
-
-    point.requires_grad = True
-    point.zero_grad()
-    backward(fn(point))
-    analytic = point.grad.copy() + grad_offset
-
-    flat = point.data.reshape(-1)
-    numeric = np.zeros_like(flat)
+        first = np.array(fn().data, copy=True)
+        if not np.array_equal(first, fn().data):
+            raise DeterminismError("fn produced different values on identical inputs")
+    for point in targets.values():
+        point.requires_grad, point.grad = True, None
+    backward(fn())
+    errors: dict[str, float] = {}
     with no_grad():
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + FD_EPS
-            f_plus = float(fn(point).data)
-            flat[i] = saved - FD_EPS
-            f_minus = float(fn(point).data)
-            flat[i] = saved
-            numeric[i] = (f_plus - f_minus) / (2.0 * FD_EPS)
-
-    denom = np.maximum(1.0, np.abs(analytic.reshape(-1)))
-    return float(np.max(np.abs(analytic.reshape(-1) - numeric) / denom)) if flat.size else 0.0
+        for name, point in targets.items():
+            analytic, data = point.grad.reshape(-1) + (0.0 if errors else grad_offset), point.data
+            numeric = np.zeros(data.size)
+            for i in range(data.size):
+                saved = data.flat[i]
+                data.flat[i] = saved + FD_EPS
+                f_plus = float(fn().data)
+                data.flat[i] = saved - FD_EPS
+                f_minus = float(fn().data)
+                data.flat[i] = saved
+                numeric[i] = (f_plus - f_minus) / (2.0 * FD_EPS)
+            denom = np.maximum(1.0, np.abs(analytic))
+            errors[name] = float(np.max(np.abs(analytic - numeric) / denom)) if data.size else 0.0
+        if not np.array_equal(first, fn().data):
+            raise DeterminismError("fn changed value over the check: a perturbation was not restored")
+    return errors

@@ -799,6 +799,12 @@ class TestGradcheckCommand:
         assert rc == EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out
 
+    def test_injected_error_fails_exactly_the_first_row(self, capsys):
+        """The negative control corrupts one row, not the first case: its case's other targets still pass."""
+        assert main(["gradcheck", "--scope", "losses", "--inject-error"]) == EXIT_NUMERIC
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+        assert failed == ["task_loss/h_cls"]
+
 
 class TestHelp:
     @pytest.mark.parametrize(

@@ -258,8 +258,9 @@ class TestEncoderGradients:
 
         for layers in (1, 2):
             enc = toy_encoder(vocab, layers=layers, heads=2, hidden=8, ffn=16)
-            for name, tensor in enc.params.items():
-                err = T.finite_diff_check(lambda _t: (enc.forward(batch) * weights).sum(), tensor)
+            errors = T.finite_diff_check(lambda: (enc.forward(batch) * weights).sum(), enc.params)
+            assert list(errors) == list(enc.params)
+            for name, err in errors.items():
                 assert err < 1e-4, f"layers={layers} {name}: finite-difference error {err:.3e}"
 
 

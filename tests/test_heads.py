@@ -256,6 +256,7 @@ class TestTotalLoss:
         batch = encode_batch(examples, vocab, 4)
         cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
         model = EmotionModel.build(cfg, len(vocab), schema, LossWeights(), seed=4)
-        for name, tensor in model.head_params.items():
-            err = T.finite_diff_check(lambda t: model.loss(model.forward(batch), batch), tensor)
+        errors = T.finite_diff_check(lambda: model.loss(model.forward(batch), batch), model.head_params)
+        assert list(errors) == list(model.head_params)
+        for name, err in errors.items():
             assert err < 1e-4, f"{name}: {err:.3e}"

@@ -191,10 +191,10 @@ class TestMhLoss:
         z_final = ce_logits(1.0, 5)
         z_s = ce_logits(0.5, 3)
 
-        def fn(beta_raw):
+        def fn():
             return mh_loss(z_final, z_s, np.array([0]), np.array([0]), heads)
 
-        err = T.finite_diff_check(fn, heads["mh.beta_raw"])
+        err = T.finite_diff_check(fn, {"mh.beta_raw": heads["mh.beta_raw"]})["mh.beta_raw"]
         assert err < 1e-4
 
 

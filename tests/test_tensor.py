@@ -530,25 +530,48 @@ class TestComputationRecord:
 
 class TestFiniteDiffCheck:
     def test_square_function(self):
-        err = T.finite_diff_check(lambda t: t * t, T.tensor(3.0))
-        assert err < 1e-8
+        t = T.tensor(3.0)
+        assert T.finite_diff_check(lambda: t * t, {"t": t})["t"] < 1e-8
 
     def test_nondeterministic_fn_detected(self):
         rng = np.random.default_rng(0)
+        t = T.tensor(1.0)
 
-        def noisy(t):
+        def noisy():
             return t * float(rng.random())
 
         with pytest.raises(DeterminismError):
-            T.finite_diff_check(noisy, T.tensor(1.0))
+            T.finite_diff_check(noisy, {"t": t})
+
+    def test_drift_after_the_first_pair_detected(self):
+        """The last evaluation must equal the first, so a drift the first pair of evaluations misses still fails."""
+        t, calls = T.tensor([1.0, 2.0]), []
+
+        def drifting():  # the first two evaluations agree, later ones drift
+            calls.append(None)
+            return (t * t).sum() * (1.0 + 1e-3 * max(0, len(calls) - 2))
+
+        with pytest.raises(DeterminismError, match="not restored"):
+            T.finite_diff_check(drifting, {"t": t})
 
     def test_grad_offset_hook_breaks_check(self):
-        err = T.finite_diff_check(lambda t: t * t, T.tensor(3.0), grad_offset=1.0)
-        assert err > 1e-4
+        t = T.tensor(3.0)
+        assert T.finite_diff_check(lambda: t * t, {"t": t}, grad_offset=1.0)["t"] > 1e-4
+
+    def test_grad_offset_hook_breaks_only_the_first_target(self):
+        s, t = T.tensor(3.0), T.tensor(2.0)
+        errors = T.finite_diff_check(lambda: s * s + t * t, {"s": s, "t": t}, grad_offset=1.0)
+        assert list(errors) == ["s", "t"] and errors["s"] > 1e-4 > errors["t"]
+
+    def test_target_perturbed_in_place_whatever_its_layout(self):
+        """A Fortran-ordered target is perturbed itself, not a C-ordered copy of it."""
+        t = T.tensor(np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        assert not t.data.flags.c_contiguous
+        assert T.finite_diff_check(lambda: (t * t).sum(), {"t": t})["t"] < 1e-8
 
 
 def _check(fn, point, tol=1e-4):
-    err = T.finite_diff_check(fn, point)
+    err = T.finite_diff_check(lambda: fn(point), {"point": point})["point"]
     assert err < tol, f"finite-difference error {err:.3e}"
 
 
