@@ -159,8 +159,12 @@ class AffectSchema:
             missing = [n for n in names if n not in by_name]
             if missing:
                 raise ConfigError(f"{key!r} names unknown emotions: {missing}")
+            repeated = sorted({n for n in names if list(names).count(n) > 1})
+            if repeated:
+                raise ConfigError(f"{key!r} names emotions more than once: {repeated}")
             return tuple(by_name[n] for n in names)
 
+        indices(coords, "coords")  # a coordinate for an emotion the schema lacks
         taxonomy = EmotionTaxonomy(emotions, indices(positive, "positive"), indices(negative, "negative"))
         try:
             points = tuple(tuple(coords[n]) for n in emotions)

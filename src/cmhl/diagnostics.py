@@ -51,14 +51,14 @@ def _loss_suite():
     d = 8
     h_cls = T.tensor(rng.normal(size=(2, d)))
     weights = LossWeights()
-    heads = EmotionModel(schema, weights).params(d, rng)
+    heads = EmotionModel(schema, weights).params(d, T.drawn(rng))
     labels = {
         "primary": np.array([1, 0]),
         "valence": np.array([0, 1]),
         "intensity": np.array([0, 1]),
     }
     logits = T.tensor(rng.normal(size=(2, 6)))
-    mh = mh_head_params(5, d, rng, gate_dim=6)
+    mh = mh_head_params(5, d, T.drawn(rng), gate_dim=6)
     labels_m = np.array([2, 0])
     labels_s = np.array([1, -1])
     h_mh = T.tensor(rng.normal(size=(2, d)))
@@ -108,7 +108,7 @@ def _gate_suite():
     cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.0)
     labels = MHLabelSchema()
     model = MHModel.build(cfg, len(vocab), labels, seed=102)
-    model.head_params = heads = mh_head_params(5, 8, np.random.default_rng(103), gate_dim=6)
+    model.head_params = heads = mh_head_params(5, 8, T.drawn(np.random.default_rng(103)), gate_dim=6)
     with T.no_grad():  # no head parameter reaches the encoder, so its CLS vector is a constant
         h_cls = model.encoder.forward(batch)
     return [("gate_mh_loss", heads, lambda: model.loss(model.head.forward(h_cls, heads), batch))]

@@ -11,6 +11,7 @@ alone lays the rows out per sample and masks the padded keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,30 +39,25 @@ class EncoderConfig:
 
 
 class Encoder:
-    """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS out; dropout only given ``rng``."""
+    """Token+position embedding, L pre-norm attention/FFN blocks, the [B, d] CLS out; dropout only given ``rng``.
+    ``make(name, shape, fill=None)`` makes each tensor, in checkpoint order, as the lazy layout reaches it:
+    ``T.drawn(rng)`` draws, and ``training.model_from_checkpoint`` copies a checkpoint's array once checked."""
 
-    def __init__(self, config: EncoderConfig, vocab_size: int, rng: np.random.Generator | None):
+    def __init__(self, config: EncoderConfig, vocab_size: int, make):
         self.config = config
         self.vocab_size = vocab_size
         d, ffn = config.hidden, config.ffn_dim
-        p: dict[str, T.Tensor] = {
-            "tok_emb": T.param((vocab_size, d), rng),
-            "pos_emb": T.param((config.max_positions, d), rng),
-        }
-        for i in range(config.layers):
-            p[f"l{i}.ln1.g"] = T.ones(d, requires_grad=True)
-            p[f"l{i}.ln1.b"] = T.zeros(d, requires_grad=True)
-            for name in ("wq", "wk", "wv", "wo"):
-                p[f"l{i}.attn.{name}"] = T.param((d, d), rng)
-            for name in ("bq", "bk", "bv", "bo"):
-                p[f"l{i}.attn.{name}"] = T.zeros(d, requires_grad=True)
-            p[f"l{i}.ln2.g"] = T.ones(d, requires_grad=True)
-            p[f"l{i}.ln2.b"] = T.zeros(d, requires_grad=True)
-            p[f"l{i}.ffn.w1"] = T.param((d, ffn), rng)
-            p[f"l{i}.ffn.b1"] = T.zeros(ffn, requires_grad=True)
-            p[f"l{i}.ffn.w2"] = T.param((ffn, d), rng)
-            p[f"l{i}.ffn.b2"] = T.zeros(d, requires_grad=True)
-        self.params = p
+        block = (
+            ("ln1.g", (d,), 1.0), ("ln1.b", (d,), 0.0),
+            *((f"attn.w{c}", (d, d)) for c in "qkvo"), *((f"attn.b{c}", (d,), 0.0) for c in "qkvo"),
+            ("ln2.g", (d,), 1.0), ("ln2.b", (d,), 0.0),
+            ("ffn.w1", (d, ffn)), ("ffn.b1", (ffn,), 0.0), ("ffn.w2", (ffn, d)), ("ffn.b2", (d,), 0.0),
+        )
+        layout = chain(
+            (("tok_emb", (vocab_size, d)), ("pos_emb", (config.max_positions, d))),
+            ((f"l{i}.{name}", *rest) for i in range(config.layers) for name, *rest in block),
+        )
+        self.params: dict[str, T.Tensor] = {name: make(name, *rest) for name, *rest in layout}
 
     def parameters(self) -> dict[str, T.Tensor]:
         return self.params
@@ -119,9 +115,14 @@ class Model:
     head_params: dict[str, T.Tensor]
 
     @classmethod
-    def build(cls, config: EncoderConfig, vocab_size: int, head, seed: int | None) -> "Model":
-        rng = None if seed is None else np.random.default_rng([seed, head.stream])  # encoder, then head; None: zeros
-        return cls(Encoder(config, vocab_size, rng), head, head.params(config.hidden, rng))
+    def build(cls, config: EncoderConfig, vocab_size: int, head, seed: int) -> "Model":
+        """The model drawn from the head's seeded stream ``[seed, head.stream]``: the encoder, then the head."""
+        return cls.made_by(config, vocab_size, head, T.drawn(np.random.default_rng([seed, head.stream])))
+
+    @classmethod
+    def made_by(cls, config: EncoderConfig, vocab_size: int, head, make) -> "Model":
+        """The model whose tensors ``make(name, shape, fill=None)`` makes, encoder then head, in checkpoint order."""
+        return cls(Encoder(config, vocab_size, make), head, head.params(config.hidden, make))
 
     def parameters(self) -> dict[str, T.Tensor]:
         return {**self.encoder.parameters(), **self.head_params}

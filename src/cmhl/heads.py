@@ -88,25 +88,21 @@ class EmotionModel:
         return cls(schema, loss_weights)
 
     @classmethod
-    def build(
-        cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int | None
-    ) -> Model:
+    def build(cls, encoder_config, vocab_size: int, schema: AffectSchema, weights: LossWeights, seed: int) -> Model:
         return Model.build(encoder_config, vocab_size, cls(schema, weights), seed)
 
     def load(self, path) -> list[LabeledExample]:
         return load_corpus(path, self.schema)[0]  # the module global, looked up at each call
 
-    def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
-        """Affine projections `[hidden -> classes]` for the three heads, by checkpoint name."""
+    def params(self, hidden: int, make) -> dict[str, T.Tensor]:
+        """Affine projections `[hidden -> classes]` for the three heads, made by checkpoint name (``Encoder``)."""
         k = len(self.schema.taxonomy)
-        return {
-            "head.w_e": T.param((hidden, k), rng),
-            "head.b_e": T.zeros(k, requires_grad=True),
-            "head.w_v": T.param((hidden, N_VALENCE), rng),
-            "head.b_v": T.zeros(N_VALENCE, requires_grad=True),
-            "head.w_i": T.param((hidden, N_INTENSITY), rng),
-            "head.b_i": T.zeros(N_INTENSITY, requires_grad=True),
-        }
+        layout = (
+            ("head.w_e", (hidden, k)), ("head.b_e", (k,), 0.0),
+            ("head.w_v", (hidden, N_VALENCE)), ("head.b_v", (N_VALENCE,), 0.0),
+            ("head.w_i", (hidden, N_INTENSITY)), ("head.b_i", (N_INTENSITY,), 0.0),
+        )
+        return {name: make(name, *rest) for name, *rest in layout}
 
     def forward(self, h_cls: T.Tensor, params: dict[str, T.Tensor]) -> EmotionPrediction:
         return emotion_heads_forward(h_cls, params)

@@ -28,33 +28,25 @@ SEVERITY_LEVELS = 3
 BETA_INIT = 0.4
 
 
-def _beta_raw_init(effective: float) -> float:
-    # inverse softplus so the effective weight starts exactly at `effective`
-    return math.log(math.expm1(effective))
-
-
 def mh_head_params(
     num_categories: int,
     hidden: int,
-    rng: np.random.Generator,
+    make,
     gate_dim: int = GATE_DIM,
     severity_levels: int = SEVERITY_LEVELS,
 ) -> dict[str, T.Tensor]:
-    """Both heads, the gate `[M+S -> gate_dim -> 2]`, the fused head and `beta_raw`, by checkpoint name."""
+    """Both heads, the gate `[M+S -> gate_dim -> 2]`, the fused head and `beta_raw`, made by checkpoint name;
+    `beta_raw` starts at softplus's inverse of `BETA_INIT`, so the effective weight starts exactly there."""
     feat = num_categories + severity_levels
-    return {
-        "mh.w_m": T.param((hidden, num_categories), rng),
-        "mh.b_m": T.zeros(num_categories, requires_grad=True),
-        "mh.w_s": T.param((hidden, severity_levels), rng),
-        "mh.b_s": T.zeros(severity_levels, requires_grad=True),
-        "mh.gate.w_in": T.param((feat, gate_dim), rng),
-        "mh.gate.b_in": T.zeros(gate_dim, requires_grad=True),
-        "mh.gate.w_out": T.param((gate_dim, 2), rng),
-        "mh.gate.b_out": T.zeros(2, requires_grad=True),
-        "mh.fuse.w": T.param((feat, num_categories), rng),
-        "mh.fuse.b": T.zeros(num_categories, requires_grad=True),
-        "mh.beta_raw": T.tensor(_beta_raw_init(BETA_INIT), requires_grad=True),
-    }
+    layout = (
+        ("mh.w_m", (hidden, num_categories)), ("mh.b_m", (num_categories,), 0.0),
+        ("mh.w_s", (hidden, severity_levels)), ("mh.b_s", (severity_levels,), 0.0),
+        ("mh.gate.w_in", (feat, gate_dim)), ("mh.gate.b_in", (gate_dim,), 0.0),
+        ("mh.gate.w_out", (gate_dim, 2)), ("mh.gate.b_out", (2,), 0.0),
+        ("mh.fuse.w", (feat, num_categories)), ("mh.fuse.b", (num_categories,), 0.0),
+        ("mh.beta_raw", (), math.log(math.expm1(BETA_INIT))),
+    )
+    return {name: make(name, *rest) for name, *rest in layout}
 
 
 @dataclass
@@ -139,14 +131,14 @@ class MHModel:
         return cls(schema)  # a run config's loss_weights are reported, not read
 
     @classmethod
-    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int | None) -> Model:
+    def build(cls, encoder_config, vocab_size: int, labels: MHLabelSchema, seed: int) -> Model:
         return Model.build(encoder_config, vocab_size, cls(labels), seed)
 
     def load(self, path) -> list[LabeledExample]:
         return load_mh_corpus(path, self.schema)[0]  # the module global, looked up at each call
 
-    def params(self, hidden: int, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
-        return mh_head_params(len(self.schema.categories), hidden, rng, severity_levels=self.schema.severity_levels)
+    def params(self, hidden: int, make) -> dict[str, T.Tensor]:
+        return mh_head_params(len(self.schema.categories), hidden, make, severity_levels=self.schema.severity_levels)
 
     def forward(self, h_cls: T.Tensor, params: dict[str, T.Tensor]) -> MHPrediction:
         """Both heads, the gate, the gated fusion and the final head on the CLS vector."""

@@ -42,9 +42,7 @@ from .errors import DataError, DeterminismError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "tensor",
-    "param",
-    "zeros",
-    "ones",
+    "drawn",
     "matmul",
     "linear",
     "attention",
@@ -225,17 +223,16 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def drawn(rng: np.random.Generator) -> Callable[..., Tensor]:
+    """The maker of a model's trainable tensors for training: ``make(name, shape, fill=None)`` draws the tensor
+    from normal(0, 0.02) out of ``rng``, in call order, or fills it with ``fill`` and draws nothing. ``name``, the
+    tensor's checkpoint name, is the loader's to check (``training.model_from_checkpoint``)."""
 
+    def make(name: str, shape: Sequence[int], fill: float | None = None) -> Tensor:
+        data = rng.normal(0.0, 0.02, size=tuple(shape)) if fill is None else np.full(tuple(shape), fill)
+        return Tensor(data, requires_grad=True)
 
-def ones(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def param(shape: Sequence[int], rng: np.random.Generator | None) -> Tensor:
-    """Trainable tensor initialized from normal(0, 0.02); zeros without ``rng`` (a checkpoint overwrites it)."""
-    return Tensor(np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=tuple(shape)), requires_grad=True)
+    return make
 
 
 # -- primitives --------------------------------------------------------------

@@ -503,6 +503,8 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         m = read_record(_Manifest, manifest)
         tensors = {}
         for entry in m.tensors:
+            if entry.name in tensors:
+                raise DataError(f"tensor {entry.name!r} is listed twice")
             raw = (directory / entry.file).read_bytes()
             if len(raw) != 8 * math.prod(entry.shape):
                 raise DataError(f"tensor file {entry.file}: {len(raw)} bytes, expected {8 * math.prod(entry.shape)}")
@@ -516,25 +518,22 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    """Rebuild the model named by the checkpoint and load its tensors."""
-    cfg = ckpt.encoder_config  # a floor on the model's size (embeddings, blocks, heads), checked before allocating
-    heads = len(ckpt.head.schema.names) + getattr(ckpt.head.schema, "severity_levels", 0)  # the severity head
-    floor = (len(ckpt.vocab) + cfg.max_positions + cfg.layers * (4 * cfg.hidden + 2 * cfg.ffn_dim) + heads) * cfg.hidden
-    if floor > sum(t.size for t in ckpt.tensors.values()):
-        raise DataError(f"the encoder config needs at least {floor} parameters, more than the checkpoint holds")
-    model = Model.build(cfg, len(ckpt.vocab), ckpt.head, None)
+    """The model the checkpoint names, each tensor a copy of its array. Each name and shape is checked as the
+    layout reaches it, so the first tensor the checkpoint lacks or holds at another shape is named before it
+    is allocated; so are tensors the model has no place for."""
+    left = dict(ckpt.tensors)
 
-    params = model.parameters()  # zeros (seed None draws nothing), each overwritten once the checks below pass
-    missing = set(params) ^ set(ckpt.tensors)
-    if missing:
-        raise DataError(f"checkpoint tensors do not match the model: {sorted(missing)}")
-    for name, tensor in params.items():
-        if tensor.data.shape != ckpt.tensors[name].shape:
-            raise DataError(
-                f"tensor {name!r} shape {ckpt.tensors[name].shape} does not match "
-                f"model shape {tensor.data.shape}"
-            )
-        tensor.data[...] = ckpt.tensors[name]
+    def make(name: str, shape, fill=None) -> T.Tensor:
+        if name not in left:
+            raise DataError(f"the model's tensor {name!r} is not in the checkpoint")
+        array = left.pop(name)
+        if array.shape != tuple(shape):
+            raise DataError(f"tensor {name!r} shape {array.shape} does not match model shape {tuple(shape)}")
+        return T.Tensor(array.copy(), requires_grad=True)
+
+    model = Model.made_by(ckpt.encoder_config, len(ckpt.vocab), ckpt.head, make)
+    if left:
+        raise DataError(f"checkpoint tensors the model does not have: {sorted(left)}")
     return model
 
 

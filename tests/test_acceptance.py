@@ -97,7 +97,7 @@ def test_c3_exclusivity_oracle(default_schema):
 
 
 def test_c4_gating_algebra():
-    heads = mh_head_params(5, 8, np.random.default_rng(44), gate_dim=16)
+    heads = mh_head_params(5, 8, T.drawn(np.random.default_rng(44)), gate_dim=16)
     rng = np.random.default_rng(45)
     feats = T.tensor(rng.normal(size=(1000, 8)))
     gate = gate_weights(feats, heads)

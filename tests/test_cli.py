@@ -197,6 +197,13 @@ class TestDeriveLabels:
             ({"coords": {**DEFAULT_COORDS, "joy": [1]}}, "'coords.joy'"),
             ({"coords": {**DEFAULT_COORDS, "fear": ["a", 0.6]}}, "'coords.fear'"),
             ({"coords": [0.1, 0.2]}, "'coords'"),
+            ({"positive": ["joy", "joy", "love"]}, "'positive' names emotions more than once: ['joy']"),
+            ({"negative": ["fear", "sadness", "fear"]}, "'negative' names emotions more than once: ['fear']"),
+            ({"high": ["joy", "joy"]}, "'high' names emotions more than once: ['joy']"),
+            ({"coords": {**DEFAULT_COORDS, "nostalgia": [0.1, 0.2]}},
+             "'coords' names unknown emotions: ['nostalgia']"),
+            ({"emotions": ["joy", "sadness"], "positive": ["joy"], "negative": ["sadness"]},  # default coords
+             "'coords' names unknown emotions: ['love', 'anger', 'fear', 'surprise']"),
         ],
     )
     def test_malformed_schema_field_names_key(self, tmp_path, capsys, fields, key):
@@ -543,7 +550,7 @@ class TestTrainMentalHealth:
 
     def test_severity_levels_past_the_tensors_exits_data_error(self, tmp_path, capsys):
         """A manifest whose label schema asks for far more severity levels than its
-        tensors hold exits 3 naming the manifest, before the model is allocated."""
+        tensors hold exits 3 naming the manifest and the severity head's weight, before it is allocated."""
         write_mh_corpus(tmp_path / "mh.jsonl", 30)
         config = {
             "task": "mental_health",
@@ -560,7 +567,7 @@ class TestTrainMentalHealth:
         capsys.readouterr()
         assert main(["eval", str(tmp_path / "run" / "checkpoint"), str(tmp_path / "mh.jsonl")]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(manifest_path) in err
+        assert err.startswith("data error:") and str(manifest_path) in err and "tensor 'mh.w_s'" in err
 
     def test_custom_label_schema_round_trip(self, tmp_path):
         """A checkpoint trained with non-default categories and severity
@@ -644,7 +651,7 @@ class TestEval:
          "nan_learning_rate", "infinite_alpha1", "vocab_min_frequency_string", "vocab_tokens_string",
          "vocab_specials_moved", "vocab_repeated_token", "tensor_file_outside", "emotion_loss_weights_null",
          "mental_health_loss_weights_object", "negative_seed", "missing_vocab_tokens", "missing_tensor_file",
-         "missing_metrics_macro_f1"],
+         "missing_metrics_macro_f1", "repeated_tensor_name"],
     )
     def test_corrupt_checkpoint_exits_data_error(self, tmp_path, corpus, trained, capsys, corruption):
         manifest_path = trained / "manifest.json"
@@ -698,6 +705,11 @@ class TestEval:
             entry["file"] = str(outside)
             manifest_path.write_text(json.dumps(manifest))
             offender = f"tensor {entry['name']!r}: file {str(outside)!r}"
+        elif corruption == "repeated_tensor_name":  # a second wq entry, holding wk's file
+            entries = {entry["name"]: entry for entry in manifest["tensors"]}
+            manifest["tensors"].append({**entries["l0.attn.wq"], "file": entries["l0.attn.wk"]["file"]})
+            manifest_path.write_text(json.dumps(manifest))
+            offender = "manifest.json: tensor 'l0.attn.wq' is listed twice"
         elif corruption.startswith("missing_"):  # a required key of a nested record, named with its section
             section, key = {"missing_vocab_tokens": ("vocab", "tokens"), "missing_tensor_file": ("tensors", "file"),
                             "missing_metrics_macro_f1": ("metrics", "macro_f1")}[corruption]
@@ -732,6 +744,22 @@ class TestEval:
         assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and offender in err
+
+    @pytest.mark.parametrize(
+        "key,value,tensor",
+        [("layers", 10**9, "'l1.ln1.g'"), ("max_positions", 10**12, "'pos_emb'"), ("hidden", 2**40, "'tok_emb'"),
+         ("ffn_dim", 10**12, "'l0.ffn.w1'")],
+    )
+    def test_oversized_encoder_names_first_differing_tensor(self, corpus, trained, capsys, key, value, tensor):
+        """An encoder section far larger than its tensors exits 3 naming the manifest and the first tensor the
+        model's layout reaches that the checkpoint lacks or holds at another shape, before that tensor exists."""
+        manifest_path = trained / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["encoder"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["eval", str(trained), str(corpus)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest_path}: ") and f"tensor {tensor}" in err
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

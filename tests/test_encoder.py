@@ -25,7 +25,7 @@ def toy_encoder(vocab, layers=1, heads=2, hidden=8, ffn=16, seed=0, dropout=0.0)
     cfg = EncoderConfig(
         layers=layers, heads=heads, hidden=hidden, ffn_dim=ffn, max_positions=16, dropout=dropout
     )
-    return Encoder(cfg, len(vocab), np.random.default_rng(seed))
+    return Encoder(cfg, len(vocab), T.drawn(np.random.default_rng(seed)))
 
 
 def full_sequence_cls(enc, batch):
@@ -124,13 +124,13 @@ class TestMaskingAndNorm:
     def test_attention_rows_sum_to_one(self):
         # with v = 1 every context row is the sum of that query's probabilities
         (q, k, _), mask = self._qkv_and_mask(1)
-        out = T.attention(T.tensor(q), T.tensor(k), T.ones(6, 8), mask, 2)
+        out = T.attention(T.tensor(q), T.tensor(k), T.tensor(np.ones((6, 8))), mask, 2)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
 
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(1)
         x = T.tensor(rng.normal(2.0, 10.0, size=(2, 4, 64)))
-        out = T.layer_norm(x, T.ones(64), T.zeros(64))
+        out = T.layer_norm(x, T.tensor(np.ones(64)), T.tensor(np.zeros(64)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-6)
 
@@ -278,22 +278,9 @@ class TestModel:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.head.schema = schema
         params = model.parameters()
-        rng = np.random.default_rng([3, model.head.stream])
-        encoder = Encoder(cfg, 10, rng)
-        want = {**encoder.parameters(), **model.head.params(8, rng)}
+        make = T.drawn(np.random.default_rng([3, model.head.stream]))
+        encoder = Encoder(cfg, 10, make)
+        want = {**encoder.parameters(), **model.head.params(8, make)}
         assert list(params) == list(want) == [*model.encoder.parameters(), *model.head_params]
         for name, tensor in want.items():
             np.testing.assert_array_equal(params[name].data, tensor.data, err_msg=name)
-
-    @pytest.mark.parametrize("task", ["emotion", "mental_health"])
-    def test_seed_none_draws_nothing(self, task):
-        """Without a seed (a model to load a checkpoint into) every drawn tensor is zeros, and the
-        rest (zero biases, unit gains, the severity weight) and every name and shape are as seeded."""
-        cfg = EncoderConfig(layers=1, heads=2, hidden=8, ffn_dim=16, max_positions=8)
-        head = TASKS[task].record(read_schema(task, None), LossWeights())
-        seeded = Model.build(cfg, 10, head, 3).parameters()
-        empty = Model.build(cfg, 10, head, None).parameters()
-        assert [(k, v.shape) for k, v in empty.items()] == [(k, v.shape) for k, v in seeded.items()]
-        for name, tensor in empty.items():
-            drawn = tensor.data.ndim == 2
-            assert not tensor.data.any() if drawn else np.array_equal(tensor.data, seeded[name].data), name

@@ -29,14 +29,14 @@ def schema():
 
 def head_params(hidden, seed):
     """The default schema's emotion-head parameters at ``hidden``, drawn from ``seed``."""
-    return EmotionModel(AffectSchema.default(), LossWeights()).params(hidden, np.random.default_rng(seed))
+    return EmotionModel(AffectSchema.default(), LossWeights()).params(hidden, T.drawn(np.random.default_rng(seed)))
 
 
 def zero_heads(num_emotions=6, hidden=4):
     """All-zero head parameters for ``num_emotions`` emotions, by checkpoint name."""
     classes = {"e": num_emotions, "v": 3, "i": 2}
-    heads = {f"head.w_{h}": T.zeros(hidden, c, requires_grad=True) for h, c in classes.items()}
-    return {**heads, **{f"head.b_{h}": T.zeros(c, requires_grad=True) for h, c in classes.items()}}
+    heads = {f"head.w_{h}": T.tensor(np.zeros((hidden, c)), requires_grad=True) for h, c in classes.items()}
+    return {**heads, **{f"head.b_{h}": T.tensor(np.zeros(c), requires_grad=True) for h, c in classes.items()}}
 
 
 def uniform_tau(schema, value):

@@ -23,7 +23,7 @@ from cmhl.mh import (
 
 
 def make_heads(num_categories=5, hidden=8, gate_dim=4, seed=0):
-    return mh_head_params(num_categories, hidden, np.random.default_rng(seed), gate_dim=gate_dim)
+    return mh_head_params(num_categories, hidden, T.drawn(np.random.default_rng(seed)), gate_dim=gate_dim)
 
 
 def zeroed(heads):

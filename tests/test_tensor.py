@@ -318,9 +318,9 @@ class TestLinear:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.linear(T.ones(2, 3), T.ones(4, 2), T.ones(2))
+            T.linear(T.tensor(np.ones((2, 3))), T.tensor(np.ones((4, 2))), T.tensor(np.ones(2)))
         with pytest.raises(ShapeError):
-            T.linear(T.ones(2, 4), T.ones(4, 2), T.ones(3))
+            T.linear(T.tensor(np.ones((2, 4))), T.tensor(np.ones((4, 2))), T.tensor(np.ones(3)))
 
 
 def _unfused_attention(q, k, v, mask_add, heads):

@@ -70,6 +70,26 @@ def test_backward_closures_recorded_in_one_place():
     assert sorted(assigned) == ["__init__", "_node", "backward"]
 
 
+def test_trainable_tensors_made_in_one_place():
+    """``requires_grad=True`` is written only in the two makers of a model's tensors: ``T.drawn``'s, which
+    draws them to train, and ``model_from_checkpoint``'s, which copies them out of a checkpoint."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*where, child.name))
+                continue
+            if (isinstance(child, ast.keyword) and child.arg == "requires_grad"
+                    and isinstance(child.value, ast.Constant) and child.value.value is True):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.name,))
+    assert sorted(found) == [("tensor.py", "drawn", "make"), ("training.py", "model_from_checkpoint", "make")]
+
+
 def test_tokenize_called_in_one_place():
     """Only ``LabeledExample.__post_init__`` turns text into tokens; every
     other reader of an example's tokens reads ``ex.tokens``."""

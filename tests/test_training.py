@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -749,23 +750,39 @@ class TestPersistence:
             manifest = read_record(training._Manifest, json.loads((directory / "manifest.json").read_text()))
             assert read_record(training._Manifest, json.loads(json.dumps(asdict(manifest)))) == manifest
 
-    def test_tensor_mismatch_detected(self, default_schema, tmp_path):
-        model, vocab, examples = tiny_model_and_corpus(default_schema, n=8, seed=2)
-        config = TrainConfig(batch_size=8, epochs=1, warmup=0, seed=2, max_seq_len=16)
-        ckpt = Checkpoint(
-            task="emotion",
-            encoder_config=model.encoder.config,
-            train_config=config,
-            loss_weights=model.head.loss_weights,
-            vocab=vocab,
-            schema_json=default_schema.to_jsonable(),
-            epoch=1,
-            metrics=None,
-            tensors={k: v.data for k, v in model.parameters().items() if "w_e" not in k},
-        )
-        save_checkpoint(ckpt, tmp_path / "ckpt")
-        with pytest.raises(DataError):
-            model_from_checkpoint(load_checkpoint(tmp_path / "ckpt"))
+    def test_tensor_mismatch_detected(self, default_schema):
+        """A tensor the model needs but the checkpoint lacks, one the model has no place for, and one of
+        another shape are each named."""
+        model, vocab, _ = tiny_model_and_corpus(default_schema, n=8, seed=2)
+        tensors = {k: v.data for k, v in model.parameters().items()}
+        cases = {
+            "the model's tensor 'head.w_e' is not in the checkpoint":
+                {k: v for k, v in tensors.items() if k != "head.w_e"},
+            "checkpoint tensors the model does not have: ['head.extra']": {**tensors, "head.extra": np.zeros(2)},
+            "tensor 'l0.ffn.w2' shape (16, 9) does not match model shape (16, 8)":
+                {**tensors, "l0.ffn.w2": np.zeros((16, 9))},
+        }
+        for message, held in cases.items():
+            ckpt = Checkpoint(task="emotion", encoder_config=model.encoder.config,
+                              train_config=TrainConfig(max_seq_len=16), loss_weights=model.head.loss_weights,
+                              vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=1, metrics=None,
+                              tensors=held)
+            with pytest.raises(DataError, match=re.escape(message)):
+                model_from_checkpoint(ckpt)
+
+    def test_loaded_tensors_are_copies_of_the_checkpoint(self, default_schema):
+        """A loaded model's tensors hold the checkpoint's arrays bit for bit, in the model's own memory."""
+        model, vocab, _ = tiny_model_and_corpus(default_schema, n=8, seed=2)
+        ckpt = Checkpoint(task="emotion", encoder_config=model.encoder.config,
+                          train_config=TrainConfig(max_seq_len=16), loss_weights=model.head.loss_weights,
+                          vocab=vocab, schema_json=default_schema.to_jsonable(), epoch=1, metrics=None,
+                          tensors={k: v.data for k, v in model.parameters().items()})
+        loaded = model_from_checkpoint(ckpt).parameters()
+        assert list(loaded) == list(model.parameters())
+        for name, tensor in loaded.items():
+            held = ckpt.tensors[name]
+            assert tensor.requires_grad and tensor.data.dtype == held.dtype and tensor.shape == held.shape, name
+            assert tensor.data.tobytes() == held.tobytes() and not np.shares_memory(tensor.data, held), name
 
     def test_metrics_csv_columns(self, tmp_path):
         path = tmp_path / "metrics.csv"
