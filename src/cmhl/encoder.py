@@ -84,13 +84,16 @@ class Encoder:
             x, xn = T.gather(x, batch.cls, axis=0), T.gather(xn, batch.cls, axis=0)
         q = T.linear(xn, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         ctx = T.attention(q, k, v, batch.attention_mask, cfg.heads)
+        # names hold results no backward reads until return, so they die together: dying one by one fragmented the heap
         out = T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
-        x = x + T.dropout(out, cfg.dropout, rng)
+        attn = T.dropout(out, cfg.dropout, rng)
+        x = x + attn
 
         yn = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
         hidden = T.gelu(T.linear(yn, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"]))
         ffn_out = T.linear(hidden, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
-        x = x + T.dropout(ffn_out, cfg.dropout, rng)
+        mid, ffn = x, T.dropout(ffn_out, cfg.dropout, rng)
+        x = mid + ffn
 
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after encoder layer {i}")

@@ -6,19 +6,20 @@ elementwise product, reductions, reshaping, ``gather`` (the one read by
 integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
 layer norm, dropout, concatenation, and cross-entropy of logits. NumPy is the
 only dependency: GELU's erf is Cephes' (Moshier, 1989), in blocked NumPy passes.
-Every primitive hands ``_node`` a backward closure that takes the gradient
-of its result and adds into its inputs' ``.grad``; gradients accumulate into
-leaves' ``.grad`` so micro-batch accumulation works without extra bookkeeping.
-No closure refers to the node it belongs to, so a graph holds no reference
-cycle and one that is never walked is freed by reference counting alone.
-``backward`` consumes the graph it walks, freeing each interior node as soon as
-it has propagated, and inside ``no_grad()`` no graph is recorded at all.
+A recorded result is the ``Tensor`` the caller holds, with its ``data``, and a
+graph vertex (``_Vertex``): its ``.grad``, its parents' vertices, its op and the
+backward closure the primitive hands ``_node``. A leaf that requires grad is its
+own vertex. A closure adds its result's gradient into its inputs' vertices and
+keeps only the arrays its formula reads, so data lives only while the caller or
+a closure holds it. Leaves' ``.grad`` accumulate over micro-batches. No closure
+refers to its own vertex, so a graph never walked is freed by reference counting
+alone; ``backward`` consumes the graph it walks; ``no_grad()`` records none.
 
 A node's first gradient contribution becomes its ``.grad`` unfilled: an
 array its backward closure has just computed is adopted, and a view of the
 consumer's gradient (``add``, ``reshape``, ``swapaxes``, ``sum``, ``concat``)
 is copied, so no two ``.grad`` arrays share memory. Only ``gather`` zero-fills
-a ``.grad``, because its backward adds into it in place.
+a vertex's ``.grad``, because its backward adds into it in place.
 
 Importing the module sets glibc's malloc policy for the whole process, once
 (``_MALLOC_POLICY``: one arena, arrays below 32 MiB from the heap, 128 MiB of
@@ -85,7 +86,9 @@ _keep_freed_memory(ctypes.CDLL(None) if os.name == "posix" else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions."""
+    """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions; ``grad`` itself if it has ``shape``."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -94,18 +97,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """N-dimensional float64 value, optionally tracked for gradients."""
+class _Vertex:
+    """A recorded result's ``.grad``, parents' vertices, backward closure and op; its ``Tensor`` holds the data."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+    __slots__ = ("grad", "_parents", "_backward", "op")
+
+    def __init__(self, parents: tuple, op: str):
+        self.grad, self._parents, self._backward, self.op = None, parents, None, op
+
+    def _accumulate(self, g: np.ndarray, owned: bool) -> None:
+        """Add ``g`` into ``.grad``; a first ``g`` is adopted if ``owned`` (fresh, unshared), else copied."""
+        if self.grad is not None:
+            self.grad += g
+        else:
+            self.grad = np.asarray(g) if owned else g.copy()  # NumPy returns 0-d results as scalars
+
+
+class Tensor:
+    """N-dimensional float64 value, optionally tracked for gradients. A leaf that requires grad is its own vertex
+    (no parents or closure: the class defaults); a result recorded on ``_parents`` holds its own in ``_vertex``."""
+
+    __slots__ = ("data", "requires_grad", "grad", "op", "_vertex")
+    _parents, _backward = (), None
+    _accumulate = _Vertex._accumulate
 
     def __init__(self, data, requires_grad: bool = False, _parents: tuple = (), op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward: Callable[[np.ndarray], None] | None = None
         self.op = op
+        self._vertex = _Vertex(_parents, op) if _parents else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,24 +138,18 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool) -> None:
-        """Add ``g`` into ``.grad``; a first ``g`` is adopted if ``owned`` (fresh, unshared), else copied."""
-        if self.grad is not None:
-            self.grad += g
-        else:
-            self.grad = np.asarray(g) if owned else g.copy()  # NumPy returns 0-d results as scalars
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
+        s_shape, o_shape = self.data.shape, other.data.shape
 
-        def back(g: np.ndarray) -> None:
-            # _unbroadcast returns a view of g unless it had to sum
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape), self.shape != g.shape)
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape), other.shape != g.shape)
+        def back(g: np.ndarray, sv, ov) -> None:
+            # _unbroadcast returns g itself unless it had to sum
+            if sv is not None:
+                sv._accumulate(_unbroadcast(g, s_shape), s_shape != g.shape)
+            if ov is not None:
+                ov._accumulate(_unbroadcast(g, o_shape), o_shape != g.shape)
 
         return _node(np.add(self.data, other.data), (self, other), "add", back)
 
@@ -142,14 +157,15 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
+        a, b = self.data, other.data
 
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape), True)
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape), True)
+        def back(g: np.ndarray, sv, ov) -> None:
+            if sv is not None:
+                sv._accumulate(_unbroadcast(g * b, a.shape), True)
+            if ov is not None:
+                ov._accumulate(_unbroadcast(g * a, b.shape), True)
 
-        return _node(np.multiply(self.data, other.data), (self, other), "mul", back)
+        return _node(np.multiply(a, b), (self, other), "mul", back)
 
     __rmul__ = __mul__
 
@@ -166,21 +182,25 @@ class Tensor:
     # -- shape manipulation -------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g.reshape(self.shape), False)
+        own = self.shape
+
+        def back(g: np.ndarray, xv) -> None:
+            xv._accumulate(g.reshape(own), False)
 
         return _node(self.data.reshape(shape), (self,), "reshape", back)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g.swapaxes(a, b), False)
+        def back(g: np.ndarray, xv) -> None:
+            xv._accumulate(g.swapaxes(a, b), False)
 
         return _node(self.data.swapaxes(a, b), (self,), "swapaxes", back)
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        def back(g: np.ndarray) -> None:
+        own = self.shape
+
+        def back(g: np.ndarray, xv) -> None:
             grad = g if axis is None else np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(grad, self.shape), False)
+            xv._accumulate(np.broadcast_to(grad, own), False)
 
         return _node(self.data.sum(axis=axis), (self,), "sum", back)
 
@@ -191,15 +211,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, parents: tuple, op: str, back: Callable[[np.ndarray], None]) -> Tensor:
-    """The result ``data`` of primitive ``op`` on ``parents``, whose gradient ``back(g)`` propagates.
-
-    The node records its parents and ``back`` only when grad mode is on and
-    some parent requires a gradient; otherwise ``back`` is dropped.
-    """
-    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires, parents if requires else (), op)
-    out._backward = back if requires else None
+def _node(data: np.ndarray, inputs: tuple, op: str, back: Callable[..., None]) -> Tensor:
+    """The result ``data`` of primitive ``op`` on ``inputs``. When grad mode is on and some input requires a
+    gradient, its vertex records theirs (None for an input that takes none) and ``back(g, *vertices)``, which adds
+    into them and reads no input Tensor, only arrays it kept; otherwise ``back`` is dropped."""
+    if not _GRAD_ENABLED.get():
+        return Tensor(data, False, (), op)
+    vertices = tuple([(t._vertex or t) if t.requires_grad else None for t in inputs])
+    parents = tuple([v for v in vertices if v is not None])
+    out = Tensor(data, bool(parents), parents, op)
+    if parents:
+        out._vertex._backward = lambda g: back(g, *vertices)
     return out
 
 
@@ -207,9 +229,9 @@ def _node(data: np.ndarray, parents: tuple, op: str, back: Callable[[np.ndarray]
 def no_grad():
     """Record no graph inside the block.
 
-    Results of primitives carry ``requires_grad=False``, no parents and no
-    backward closure, so forward-only passes hold no memory for a backward
-    that never runs. Leaves keep their own ``requires_grad``. The previous
+    Results of primitives carry ``requires_grad=False`` and no vertex, so no
+    parents and no backward closure: forward-only passes hold no memory for a
+    backward that never runs. Leaves keep their own ``requires_grad``. The previous
     mode is restored on exit, also after an exception and when nested.
     """
     token = _GRAD_ENABLED.set(False)
@@ -241,16 +263,15 @@ def drawn(rng: np.random.Generator) -> Callable[..., Tensor]:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
 
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), True)
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), True)
+    def back(g: np.ndarray, av, bv) -> None:
+        if av is not None:
+            av._accumulate(_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape), True)
+        if bv is not None:
+            bv._accumulate(_unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape), True)
 
-    return _node(np.matmul(a.data, b.data), (a, b), "matmul", back)
+    return _node(np.matmul(ad, bd), (a, b), "matmul", back)
 
 
 _GEMM_2D_MIN_MACS = 1 << 24
@@ -279,20 +300,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d, k = w.data.shape
     if x.data.shape[-1] != d or b.data.shape != (k,):
         raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
-    rows = x.data.reshape(-1, d)
-    y = _rows_matmul(rows, w.data)
+    rows, wd, x_shape = x.data.reshape(-1, d), w.data, x.data.shape
+    y = _rows_matmul(rows, wd)
     y += b.data
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray, xv, wv, bv) -> None:
         g2 = g.reshape(-1, k)
-        if x.requires_grad:
-            x._accumulate(_rows_matmul(g2, w.data.T).reshape(x.data.shape), True)
-        if w.requires_grad:
-            w._accumulate(rows.T @ g2, True)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0), True)
+        if xv is not None:
+            xv._accumulate(_rows_matmul(g2, wd.T).reshape(x_shape), True)
+        if wv is not None:
+            wv._accumulate(rows.T @ g2, True)
+        if bv is not None:
+            bv._accumulate(np.add.reduce(g2, axis=0), True)
 
-    return _node(y.reshape(*x.data.shape[:-1], k), (x, w, b), "linear", back)
+    return _node(y.reshape(*x_shape[:-1], k), (x, w, b), "linear", back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
@@ -304,7 +325,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
     querying as its slot 0. Inside the node each operand is [B, heads, n, dk]
     with zero rows at pad slots, and every score of a padded key gets
     ``MASK_NEG`` added, so its probability is exactly 0; q's rows come out.
-    Scores are scaled by 1/sqrt(d / heads); the backward keeps only the softmax.
+    Scores are scaled by 1/sqrt(d / heads); the backward keeps the softmax and the per-head q, k and v grids.
     """
     mask = np.asarray(mask, dtype=bool)
     (tokens, d), m = k.data.shape[-2:], q.data.shape[0]
@@ -333,23 +354,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
     probs += np.where(mask, 0.0, MASK_NEG).reshape(batch, 1, 1, n)
     if not np.isfinite(probs).all():
         raise NumericError("softmax received non-finite logits")
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray, qv, kv, vv) -> None:
         gh = split(g, packed)
-        if v.requires_grad:
-            v._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh), True), True)
-        if q.requires_grad or k.requires_grad:
+        if vv is not None:
+            vv._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh), True), True)
+        if qv is not None or kv is not None:
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
-            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds -= np.add.reduce(ds * probs, axis=-1, keepdims=True)
             ds *= probs
             ds *= scale
-            if q.requires_grad:
-                q._accumulate(merge(np.matmul(ds, kh), packed), True)
-            if k.requires_grad:
-                k._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh), True), True)
+            if qv is not None:
+                qv._accumulate(merge(np.matmul(ds, kh), packed), True)
+            if kv is not None:
+                kv._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh), True), True)
 
     return _node(merge(np.matmul(probs, vh), packed), (q, k, v), "attention", back)
 
@@ -357,13 +378,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
     """Join along the last axis."""
     parts = tuple(tensors)
+    widths = [t.data.shape[-1] for t in parts]
 
-    def back(g: np.ndarray) -> None:
-        splits = np.cumsum([t.data.shape[-1] for t in parts])[:-1]
-        pieces = np.split(g, splits, axis=-1)
-        for t, piece in zip(parts, pieces):
-            if t.requires_grad:
-                t._accumulate(piece, False)
+    def back(g: np.ndarray, *vertices) -> None:
+        for vertex, piece in zip(vertices, np.split(g, np.cumsum(widths)[:-1], axis=-1)):
+            if vertex is not None:
+                vertex._accumulate(piece, False)
 
     return _node(np.concatenate([t.data for t in parts], axis=-1), parts, "concat", back)
 
@@ -373,26 +393,28 @@ def gather(x: Tensor, indices, axis: int = -1) -> Tensor:
     by the axes of ``indices``, and an index may repeat."""
     idx = np.asarray(indices, dtype=np.intp)
     axis %= x.data.ndim
-    size = x.data.shape[axis]
+    shape, size = x.data.shape, x.data.shape[axis]
     # viewed as unsigned, a negative index exceeds every axis size
     if idx.size and idx.view(np.uintp).max() >= size:
         bad = idx[(idx < 0) | (idx >= size)].flat[0]
         raise ShapeError(f"gather index {bad} out of range for axis {axis} of size {size}")
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray, xv) -> None:
         # in place, so repeated indices and micro-batches add up one term at a time
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (slice(None),) * axis + (idx,), g)
+        if xv.grad is None:
+            xv.grad = np.zeros(shape)
+        np.add.at(xv.grad, (slice(None),) * axis + (idx,), g)
 
     return _node(x.data.take(idx, axis=axis), (x,), "gather", back)
 
 
 def relu(x: Tensor) -> Tensor:
-    def back(g: np.ndarray) -> None:
-        x._accumulate(g * (x.data > 0.0), True)
+    xd = x.data
 
-    return _node(np.maximum(x.data, 0.0), (x,), "relu", back)
+    def back(g: np.ndarray, xv) -> None:
+        xv._accumulate(g * (xd > 0.0), True)
+
+    return _node(np.maximum(xd, 0.0), (x,), "relu", back)
 
 
 # Cephes' erf (Moshier, 1989): x T(x^2) / U(x^2) for |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|))
@@ -424,7 +446,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
             xb, yb = flat[lo:lo + _ERF_BLOCK], res[lo:lo + _ERF_BLOCK]
             z = xb * xb
             (big,) = np.nonzero(z > 1.0)  # indices, which gather and scatter far faster than a mask
-            np.minimum(z, 1.0, out=z)
+            if big.size:
+                np.minimum(z, 1.0, out=z)
             np.multiply(xb, _horner(z, _ERF_T, False), out=yb)
             yb /= _horner(z, _ERF_U, True)
             if big.size:
@@ -438,40 +461,43 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with Phi(x) = (1 + erf(x / sqrt(2))) / 2 from the owned Cephes ``_erf``."""
-    cdf = _erf(x.data * _INV_SQRT2)  # then (1 + erf) / 2 in place, in erf's fresh array
+    xd = x.data
+    cdf = _erf(xd * _INV_SQRT2)  # then (1 + erf) / 2 in place, in erf's fresh array
     np.multiply(np.add(cdf, 1.0, out=cdf), 0.5, out=cdf)
 
-    def back(g: np.ndarray) -> None:
-        grad = x.data * -0.5  # the pdf term x * exp(-x^2 / 2) / sqrt(2 pi), then + cdf and * g, in one buffer
-        np.exp(np.multiply(grad, x.data, out=grad), out=grad)
+    def back(g: np.ndarray, xv) -> None:
+        grad = xd * -0.5  # the pdf term x * exp(-x^2 / 2) / sqrt(2 pi), then + cdf and * g, in one buffer
+        np.exp(np.multiply(grad, xd, out=grad), out=grad)
         grad *= _INV_SQRT2PI
-        grad *= x.data
+        grad *= xd
         grad += cdf
         grad *= g
-        x._accumulate(grad, True)
+        xv._accumulate(grad, True)
 
-    return _node(x.data * cdf, (x,), "gelu", back)
+    return _node(xd * cdf, (x,), "gelu", back)
 
 
 def softplus(x: Tensor) -> Tensor:
-    def back(g: np.ndarray) -> None:
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-        x._accumulate(g * sig, True)
+    xd = x.data
 
-    return _node(np.logaddexp(0.0, x.data), (x,), "softplus", back)
+    def back(g: np.ndarray, xv) -> None:
+        sig = 1.0 / (1.0 + np.exp(-xd))
+        xv._accumulate(g * sig, True)
+
+    return _node(np.logaddexp(0.0, xd), (x,), "softplus", back)
 
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis with max-subtraction for overflow safety."""
     if not np.isfinite(x.data).all():
         raise NumericError("softmax received non-finite logits")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    y = exp / exp.sum(axis=-1, keepdims=True)
+    y = exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
-    def back(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        x._accumulate(y * (g - dot), True)
+    def back(g: np.ndarray, xv) -> None:
+        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
+        xv._accumulate(y * (g - dot), True)
 
     return _node(y, (x,), "softmax", back)
 
@@ -483,19 +509,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     istd = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = np.multiply(xc, istd, out=xc)
+    gd, b_shape = gain.data, bias.shape
 
-    def back(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape), True)
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape), bias.shape != g.shape)
-        if x.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(istd * term, True)
+    def back(g: np.ndarray, xv, gv, bv) -> None:
+        if gv is not None:
+            gv._accumulate(_unbroadcast(g * xhat, gd.shape), True)
+        if bv is not None:
+            bv._accumulate(_unbroadcast(g, b_shape), b_shape != g.shape)
+        if xv is not None:  # the means as np.mean takes them, as in the forward
+            dxhat = g * gd
+            term = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+            term -= xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
+            xv._accumulate(istd * term, True)
 
-    out = xhat * gain.data
+    out = xhat * gd
     out += bias.data
     return _node(out, (x, gain, bias), "layer_norm", back)
 
@@ -507,8 +534,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     keep = rng.random(x.shape) >= rate
     inv = 1.0 / (1.0 - rate)
 
-    def back(g: np.ndarray) -> None:
-        x._accumulate(g * keep * inv, True)
+    def back(g: np.ndarray, xv) -> None:
+        xv._accumulate(g * keep * inv, True)
 
     out = x.data * keep  # then * inv in place: the bits of x * (keep / (1 - rate))
     out *= inv
@@ -535,11 +562,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray, xv) -> None:
         grad = exp / total[:, None]
         grad[np.arange(rows), labels] -= 1.0
         grad *= float(g) / rows
-        logits._accumulate(grad, True)
+        xv._accumulate(grad, True)
 
     return _node(np.mean(np.log(total) - shifted[np.arange(rows), labels]), (logits,), "cross_entropy", back)
 
@@ -547,10 +574,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- backward pass ------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: _Vertex | Tensor) -> list:
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -569,22 +596,21 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into ``.grad`` of every leaf ``loss`` depends on.
 
-    Each node's closure is called with the node's ``.grad``. The graph is
-    consumed: once an interior node has propagated, its ``.grad``, backward
-    closure and parents are dropped, so the activations it kept are freed
-    during the walk even while the caller still holds ``loss``. Only leaves
-    keep ``.grad``. Calling ``backward`` again on any part of a consumed
-    graph raises RuntimeError.
+    Each vertex's closure is called with the vertex's ``.grad``. The graph is
+    consumed: once a recorded vertex has propagated, its ``.grad``, closure
+    and parents are dropped, so the arrays its closure kept are freed during
+    the walk even while the caller still holds ``loss``. Only leaves keep
+    ``.grad``. Calling ``backward`` again on any part of a consumed graph
+    raises RuntimeError.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
+    root = loss._vertex or loss
+    order = _topo_order(root)
     for node in order:
-        if node.requires_grad and node.op != "leaf" and node._backward is None:
-            raise RuntimeError(
-                f"backward reached a {node.op!r} node whose graph an earlier backward already consumed"
-            )
-    loss._accumulate(np.ones_like(loss.data), True)
+        if type(node) is _Vertex and node._backward is None:
+            raise RuntimeError(f"backward reached a {node.op!r} node whose graph an earlier backward already consumed")
+    root._accumulate(np.ones_like(loss.data), True)
     while order:
         node = order.pop()
         if node._backward is not None:
@@ -600,11 +626,12 @@ def backward(loss: Tensor) -> None:
 def finite_diff_check(fn: Callable[[], Tensor], targets: dict[str, Tensor], grad_offset: float = 0.0) -> dict:
     """Each target's max relative error between analytic and central-difference gradients, step ``FD_EPS``.
 
-    ``fn`` is a deterministic no-argument objective giving a scalar Tensor. It reads ``targets``, which the
-    check perturbs in place, element by element in C order whatever their memory layout. Two forward passes
-    detect nondeterminism, one ``backward`` gives every analytic gradient, and a last forward pass must equal
-    the first bit for bit, so every perturbation was restored. ``grad_offset`` perturbs the first target's
-    analytic gradient before comparison and exists purely as a negative-control hook for self-tests.
+    ``fn`` is a deterministic no-argument objective giving a scalar Tensor. It reads ``targets``, which the check
+    perturbs in place, element by element in C order whatever their memory layout. Two forward passes detect
+    nondeterminism; one ``backward`` gives every analytic gradient into the targets, each marked as requiring grad
+    and so its own vertex; a last forward pass must equal the first bit for bit, so every perturbation was restored.
+    ``grad_offset`` perturbs the first target's analytic gradient before comparison and exists purely as a
+    negative-control hook for self-tests.
     """
     with no_grad():
         first = np.array(fn().data, copy=True)

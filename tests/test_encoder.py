@@ -1,6 +1,8 @@
 """Encoder shapes, masking, normalization, determinism, and gradients; the Model built on it."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +228,95 @@ class TestClsPool:
         # forward and its input-gradient product.
         assert tokens == 20 < batch.attention_mask.size
         assert sorted(rows) == sorted([tokens] * 3 * 14 + [4] * 3 * 4)
+
+
+class TestActivationLifetime:
+    """A grad-on forward keeps alive only the arrays some backward closure reads. With the cyclic collector off,
+    a result the caller drops and no closure reads is freed by reference counting before ``backward``."""
+
+    def _embed_and_block(self, monkeypatch, keep):
+        """Block 0 of a padded two-block encoder with dropout on, from its embeddings, then ``backward``.
+        ``keep`` collects every recorded result, or is None. Returns, for each of linear, dropout and add (in
+        call order), whether its result's data was alive just before ``backward``, and the leaf gradients."""
+        batch, vocab = toy_batch(["a b c d e f g", "h", "i j k", "l m n o p"], max_len=8)
+        assert batch.attention_mask.sum() < batch.attention_mask.size
+        enc = toy_encoder(vocab, layers=2, dropout=0.3)
+        made = {"linear": [], "dropout": [], "add": []}
+
+        def recording(op, fn):
+            def record(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                made[op].append(weakref.ref(out.data))
+                if keep is not None:
+                    keep.append(out)
+                return out
+
+            return record
+
+        rng = np.random.default_rng(4)
+        with monkeypatch.context() as m:
+            for owner, name, op in ((T, "linear", "linear"), (T, "dropout", "dropout"), (T.Tensor, "__add__", "add")):
+                m.setattr(owner, name, recording(op, getattr(owner, name)))
+            gc.disable()
+            try:
+                x = enc.embed(batch, rng=rng)
+                out = enc.block(0, x, batch, rng)
+                loss = out.sum()
+                del x, out
+                alive = {op: [ref() is not None for ref in refs] for op, refs in made.items()}
+                T.backward(loss)
+            finally:
+                gc.enable()
+        return alive, {name: t.grad.tobytes() for name, t in enc.params.items() if t.grad is not None}
+
+    def test_results_no_closure_reads_die_before_backward(self, monkeypatch):
+        alive, _ = self._embed_and_block(monkeypatch, keep=None)
+        # linear: k, v, q, the attention output, the FFN's first and second layer; attention copies k and v into
+        # its padded grids, and only GELU reads the FFN's first layer
+        assert alive["linear"] == [False, False, False, False, True, False]
+        assert alive["dropout"] == [False, False, False]  # the embeddings', attention's and the FFN's
+        assert alive["add"] == [False, False, False]  # the embedding sum, the two residual sums
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_no_closure_holds_a_recorded_result(self, task):
+        """Walked from a two-block model's loss, the backward closures reach leaf parameters (their own vertices)
+        and arrays, never a recorded result's Tensor or a constant: only arrays a formula reads outlive the forward."""
+        texts = ["a b c d e f g", "h", "i j k", "l m n o p"]
+        examples = [LabeledExample(text=t, emotion=i % 3, valence=i % 3, intensity=i % 2) for i, t in enumerate(texts)]
+        vocab = build_vocab(examples, min_freq=1)
+        batch = encode_batch(examples, vocab, 8)
+        cfg = EncoderConfig(layers=2, heads=2, hidden=8, ffn_dim=16, max_positions=8, dropout=0.3)
+        model = Model.build(cfg, len(vocab), TASKS[task].record(read_schema(task, None), LossWeights()), 3)
+        loss = model.loss(model.forward(batch, rng=np.random.default_rng(0)), batch)
+        held, seen, ops = [], set(), set()
+
+        def reach(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, T.Tensor):
+                held.append(obj)
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    reach(item)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                for cell in obj.__closure__:
+                    reach(cell.cell_contents)
+
+        for vertex in T._topo_order(loss._vertex):
+            if vertex._backward is not None:
+                ops.add(vertex.op)
+                reach(vertex._backward)
+        assert held and all(t.requires_grad and t._vertex is None and t.op == "leaf" for t in held)
+        assert {"linear", "attention", "layer_norm", "gelu", "dropout", "add", "gather", "cross_entropy"} <= ops
+
+    def test_leaf_gradients_do_not_depend_on_what_the_caller_keeps(self, monkeypatch):
+        kept = []
+        _, held = self._embed_and_block(monkeypatch, keep=kept)
+        _, dropped = self._embed_and_block(monkeypatch, keep=None)
+        assert kept and held.keys() == dropped.keys() and "l0.attn.wk" in held
+        for name in held:
+            assert held[name] == dropped[name], name
 
 
 class TestConfigValidation:

@@ -510,6 +510,25 @@ class TestGradientOwnership:
         for name in names:
             np.testing.assert_allclose(grads[name], first[name] + second[name], rtol=0, atol=1e-12)
 
+    def test_interior_vertices_match_zero_fill(self, monkeypatch):
+        """Zero-filling every first gradient, the interior vertices' as well as the leaves', gives the same bits."""
+        shapes = [(2, 3)] * 6 + [(4, 2), ()]
+        micro_batches = [[self.rng.normal(size=s) for s in shapes] for _ in range(2)]
+        leaves = self._leaves()
+        start = {name: t.data.copy() for name, t in leaves.items()}
+        grads = self._run(leaves, micro_batches)
+
+        def zero_fill(vertex, g, owned):
+            if vertex.grad is None:
+                vertex.grad = np.zeros(np.shape(g))
+            vertex.grad += g
+
+        monkeypatch.setattr(T.Tensor, "_accumulate", zero_fill)
+        monkeypatch.setattr(T._Vertex, "_accumulate", zero_fill)
+        expected = self._run({name: T.tensor(d, requires_grad=True) for name, d in start.items()}, micro_batches)
+        for name in sorted(grads):
+            np.testing.assert_array_equal(grads[name], expected[name], err_msg=name)
+
 
 class TestComputationRecord:
     """The order ``backward`` walks in reverse records the computation."""
@@ -517,15 +536,15 @@ class TestComputationRecord:
     def test_inputs_precede_consumers(self):
         x = T.tensor([[1.0, 2.0]], requires_grad=True)
         y = T.softmax(x * 2.0 + 1.0)
-        order = T._topo_order(y.sum())
+        order = T._topo_order(y.sum()._vertex)
         position = {id(node): i for i, node in enumerate(order)}
-        assert len(position) == len(order) == 7  # x, 2.0, mul, 1.0, add, softmax, sum
+        assert len(position) == len(order) == 5  # x, mul, add, softmax, sum: constants are no vertices
         for node in order:
             assert all(position[id(p)] < position[id(node)] for p in node._parents)
 
     def test_ops_named(self):
         x = T.tensor([[1.0, 2.0]], requires_grad=True)
-        assert [node.op for node in T._topo_order(T.relu(x).sum())] == ["leaf", "relu", "sum"]
+        assert [node.op for node in T._topo_order(T.relu(x).sum()._vertex)] == ["leaf", "relu", "sum"]
 
 
 class TestFiniteDiffCheck:

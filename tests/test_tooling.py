@@ -50,24 +50,26 @@ def test_no_uncalled_definitions():
 
 
 def test_backward_closures_recorded_in_one_place():
-    """Only ``_node`` gives a node its backward closure and only ``backward``
-    clears it (``Tensor.__init__`` starts it at None), so no primitive keeps
-    a closure that could refer back to its own node."""
+    """Only ``_node`` gives a vertex its backward closure and only ``backward``
+    clears it (``_Vertex.__init__`` starts it at None; a leaf ``Tensor`` reads
+    the class default), so no primitive keeps a closure that could refer back
+    to its own vertex."""
     assigned = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if function is None else f"{function}.{child.name}")
                 continue
             if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                targets = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
                 assigned.extend(function for t in targets if isinstance(t, ast.Attribute) and t.attr == "_backward")
             visit(child, function)
 
     for path in sorted((ROOT / "src" / "cmhl").glob("*.py")):
         visit(ast.parse(path.read_text()), None)
-    assert sorted(assigned) == ["__init__", "_node", "backward"]
+    assert sorted(assigned) == ["_Vertex.__init__", "_node", "backward"]
 
 
 def test_trainable_tensors_made_in_one_place():
