@@ -7,19 +7,23 @@ integer index, which ``embedding`` wraps), ReLU, GELU, softplus, softmax,
 layer norm, dropout, concatenation, and cross-entropy of logits. NumPy is the
 only dependency: GELU's erf is Cephes' (Moshier, 1989), in blocked NumPy passes.
 A recorded result is the ``Tensor`` the caller holds, with its ``data``, and a
-graph vertex (``_Vertex``): its ``.grad``, its parents' vertices, its op and the
-backward closure the primitive hands ``_node``. A leaf that requires grad is its
-own vertex. A closure adds its result's gradient into its inputs' vertices and
-keeps only the arrays its formula reads, so data lives only while the caller or
-a closure holds it. Leaves' ``.grad`` accumulate over micro-batches. No closure
+graph vertex (``_Vertex``): its ``.grad``, its parents' vertices, its op, the
+backward closure the primitive hands ``_node`` and, for a layer norm's, a GELU's
+or attention's result, a recompute recipe that rebuilds the data bit for bit
+from arrays that closure keeps anyway. A leaf that requires grad is its own
+vertex. A closure adds its result's gradient into its inputs' vertices and keeps
+only the arrays its formula reads; ``linear`` keeps its input's recipe, where
+there is one, instead of its rows. So data lives only while the caller or a
+closure holds it. Leaves' ``.grad`` accumulate over micro-batches. No closure
 refers to its own vertex, so a graph never walked is freed by reference counting
 alone; ``backward`` consumes the graph it walks; ``no_grad()`` records none.
 
 A node's first gradient contribution becomes its ``.grad`` unfilled: an
 array its backward closure has just computed is adopted, and a view of the
 consumer's gradient (``add``, ``reshape``, ``swapaxes``, ``sum``, ``concat``)
-is copied, so no two ``.grad`` arrays share memory. Only ``gather`` zero-fills
-a vertex's ``.grad``, because its backward adds into it in place.
+is copied, so no two ``.grad`` arrays share memory, and GELU's backward scales
+its own in place. Only ``gather`` zero-fills a vertex's ``.grad``, because its
+backward adds into it in place.
 
 Importing the module sets glibc's malloc policy for the whole process, once
 (``_MALLOC_POLICY``: one arena, arrays below 32 MiB from the heap, 128 MiB of
@@ -98,12 +102,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _Vertex:
-    """A recorded result's ``.grad``, parents' vertices, backward closure and op; its ``Tensor`` holds the data."""
+    """A recorded result's ``.grad``, parents' vertices, backward closure and op; its ``Tensor`` holds the data.
+    ``recompute``, when the primitive gives one, rebuilds that data bit for bit from arrays its closure keeps."""
 
-    __slots__ = ("grad", "_parents", "_backward", "op")
+    __slots__ = ("grad", "_parents", "_backward", "op", "recompute")
 
     def __init__(self, parents: tuple, op: str):
-        self.grad, self._parents, self._backward, self.op = None, parents, None, op
+        self.grad, self._parents, self._backward, self.op, self.recompute = None, parents, None, op, None
 
     def _accumulate(self, g: np.ndarray, owned: bool) -> None:
         """Add ``g`` into ``.grad``; a first ``g`` is adopted if ``owned`` (fresh, unshared), else copied."""
@@ -211,18 +216,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, inputs: tuple, op: str, back: Callable[..., None]) -> Tensor:
+def _node(data: np.ndarray, inputs: tuple, op: str, back: Callable[..., None],
+          recompute: Callable[[], np.ndarray] | None = None) -> Tensor:
     """The result ``data`` of primitive ``op`` on ``inputs``. When grad mode is on and some input requires a
     gradient, its vertex records theirs (None for an input that takes none) and ``back(g, *vertices)``, which adds
-    into them and reads no input Tensor, only arrays it kept; otherwise ``back`` is dropped."""
+    into them and reads no input Tensor, only arrays it kept, and ``recompute``, if given, which rebuilds ``data``
+    from arrays ``back`` keeps, for a consumer to keep instead of ``data`` (``_kept``); otherwise both are dropped."""
     if not _GRAD_ENABLED.get():
         return Tensor(data, False, (), op)
     vertices = tuple([(t._vertex or t) if t.requires_grad else None for t in inputs])
     parents = tuple([v for v in vertices if v is not None])
     out = Tensor(data, bool(parents), parents, op)
     if parents:
-        out._vertex._backward = lambda g: back(g, *vertices)
+        out._vertex._backward, out._vertex.recompute = (lambda g: back(g, *vertices)), recompute
     return out
+
+
+def _kept(t: Tensor) -> Callable[[], np.ndarray]:
+    """What a backward closure keeps to read ``t.data``: the recipe of ``t``'s vertex, if it has one, else the data."""
+    if t._vertex is not None and t._vertex.recompute is not None:
+        return t._vertex.recompute
+    data = t.data
+    return lambda: data
 
 
 @contextlib.contextmanager
@@ -296,22 +311,23 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` as one node over the rows of ``x``: ``w`` is [d, k], ``b`` is [k].
-    The weight gradient is one 2-D GEMM; the forward and the input gradient are ``_rows_matmul``."""
+    The weight gradient is one 2-D GEMM; the forward and the input gradient are ``_rows_matmul``. The backward
+    keeps ``x``'s recompute recipe, if it has one, instead of its rows (``_kept``)."""
     d, k = w.data.shape
     if x.data.shape[-1] != d or b.data.shape != (k,):
         raise ShapeError(f"linear shapes differ: {x.shape} @ {w.shape} + {b.shape}")
-    rows, wd, x_shape = x.data.reshape(-1, d), w.data, x.data.shape
-    y = _rows_matmul(rows, wd)
+    wd, x_shape, x_kept = w.data, x.data.shape, _kept(x)
+    y = _rows_matmul(x.data.reshape(-1, d), wd)
     y += b.data
 
     def back(g: np.ndarray, xv, wv, bv) -> None:
         g2 = g.reshape(-1, k)
-        if xv is not None:
-            xv._accumulate(_rows_matmul(g2, wd.T).reshape(x_shape), True)
-        if wv is not None:
-            wv._accumulate(rows.T @ g2, True)
+        if wv is not None:  # first, so the rebuilt rows are freed before the input gradient is allocated
+            wv._accumulate(x_kept().reshape(-1, d).T @ g2, True)
         if bv is not None:
             bv._accumulate(np.add.reduce(g2, axis=0), True)
+        if xv is not None:
+            xv._accumulate(_rows_matmul(g2, wd.T).reshape(x_shape), True)
 
     return _node(y.reshape(*x_shape[:-1], k), (x, w, b), "linear", back)
 
@@ -325,7 +341,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
     querying as its slot 0. Inside the node each operand is [B, heads, n, dk]
     with zero rows at pad slots, and every score of a padded key gets
     ``MASK_NEG`` added, so its probability is exactly 0; q's rows come out.
-    Scores are scaled by 1/sqrt(d / heads); the backward keeps the softmax and the per-head q, k and v grids.
+    Scores are scaled by 1/sqrt(d / heads). The backward keeps the softmax and the packed q, k and v, and lays
+    them out again; the result's recompute recipe rebuilds it from the softmax and v.
     """
     mask = np.asarray(mask, dtype=bool)
     (tokens, d), m = k.data.shape[-2:], q.data.shape[0]
@@ -347,9 +364,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
         rows = a.swapaxes(1, 2).reshape(-1, d)
         return rows[real] if grid and padded else rows
 
-    qh, kh, vh = split(q.data, packed), split(k.data, True), split(v.data, True)
+    qd, kd, vd = q.data, k.data, v.data
     with np.errstate(invalid="ignore"):  # inf * 0 at a pad slot is nan: the finiteness check raises
-        probs = np.matmul(qh, kh.swapaxes(-1, -2))
+        probs = np.matmul(split(qd, packed), split(kd, True).swapaxes(-1, -2))
     probs *= scale
     probs += np.where(mask, 0.0, MASK_NEG).reshape(batch, 1, 1, n)
     if not np.isfinite(probs).all():
@@ -358,21 +375,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> 
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
+    def context() -> np.ndarray:
+        return merge(np.matmul(probs, split(vd, True)), packed)
+
     def back(g: np.ndarray, qv, kv, vv) -> None:
         gh = split(g, packed)
         if vv is not None:
             vv._accumulate(merge(np.matmul(probs.swapaxes(-1, -2), gh), True), True)
         if qv is not None or kv is not None:
-            ds = np.matmul(gh, vh.swapaxes(-1, -2))
+            ds = np.matmul(gh, split(vd, True).swapaxes(-1, -2))
             ds -= np.add.reduce(ds * probs, axis=-1, keepdims=True)
             ds *= probs
             ds *= scale
             if qv is not None:
-                qv._accumulate(merge(np.matmul(ds, kh), packed), True)
+                qv._accumulate(merge(np.matmul(ds, split(kd, True)), packed), True)
             if kv is not None:
-                kv._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), qh), True), True)
+                kv._accumulate(merge(np.matmul(ds.swapaxes(-1, -2), split(qd, packed)), True), True)
 
-    return _node(merge(np.matmul(probs, vh), packed), (q, k, v), "attention", back)
+    return _node(context(), (q, k, v), "attention", back, context)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -465,16 +485,24 @@ def gelu(x: Tensor) -> Tensor:
     cdf = _erf(xd * _INV_SQRT2)  # then (1 + erf) / 2 in place, in erf's fresh array
     np.multiply(np.add(cdf, 1.0, out=cdf), 0.5, out=cdf)
 
-    def back(g: np.ndarray, xv) -> None:
-        grad = xd * -0.5  # the pdf term x * exp(-x^2 / 2) / sqrt(2 pi), then + cdf and * g, in one buffer
-        np.exp(np.multiply(grad, xd, out=grad), out=grad)
-        grad *= _INV_SQRT2PI
-        grad *= xd
-        grad += cdf
-        grad *= g
-        xv._accumulate(grad, True)
+    def activation() -> np.ndarray:
+        return xd * cdf
 
-    return _node(xd * cdf, (x,), "gelu", back)
+    def back(g: np.ndarray, xv) -> None:
+        # g is this vertex's own .grad (a first contribution is adopted or copied): scaled in place and handed on
+        assert g.flags.c_contiguous and g.flags.writeable
+        gs, xs, cs = g.reshape(-1), xd.reshape(-1), cdf.reshape(-1)
+        for lo in range(0, gs.size, _ERF_BLOCK):
+            xb = xs[lo:lo + _ERF_BLOCK]
+            grad = xb * -0.5  # the pdf term x * exp(-x^2 / 2) / sqrt(2 pi), then + cdf, in one buffer
+            np.exp(np.multiply(grad, xb, out=grad), out=grad)
+            grad *= _INV_SQRT2PI
+            grad *= xb
+            grad += cs[lo:lo + _ERF_BLOCK]
+            gs[lo:lo + _ERF_BLOCK] *= grad
+        xv._accumulate(g, True)
+
+    return _node(activation(), (x,), "gelu", back, activation)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -509,7 +537,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     istd = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = np.multiply(xc, istd, out=xc)
-    gd, b_shape = gain.data, bias.shape
+    gd, bd, b_shape = gain.data, bias.data, bias.shape
 
     def back(g: np.ndarray, xv, gv, bv) -> None:
         if gv is not None:
@@ -522,9 +550,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             term -= xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
             xv._accumulate(istd * term, True)
 
-    out = xhat * gd
-    out += bias.data
-    return _node(out, (x, gain, bias), "layer_norm", back)
+    def normed() -> np.ndarray:
+        out = xhat * gd
+        out += bd
+        return out
+
+    return _node(normed(), (x, gain, bias), "layer_norm", back, normed)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -618,6 +649,7 @@ def backward(loss: Tensor) -> None:
             node.grad = None
             node._backward = None
             node._parents = ()
+            node.recompute = None
 
 
 # -- gradient verification -----------------------------------------------------

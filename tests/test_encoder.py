@@ -236,12 +236,13 @@ class TestActivationLifetime:
 
     def _embed_and_block(self, monkeypatch, keep):
         """Block 0 of a padded two-block encoder with dropout on, from its embeddings, then ``backward``.
-        ``keep`` collects every recorded result, or is None. Returns, for each of linear, dropout and add (in
-        call order), whether its result's data was alive just before ``backward``, and the leaf gradients."""
+        ``keep`` collects every recorded result, or is None. Returns, for each recorded op (in call order),
+        whether its result's data was alive just before ``backward``, and the leaf gradients."""
         batch, vocab = toy_batch(["a b c d e f g", "h", "i j k", "l m n o p"], max_len=8)
         assert batch.attention_mask.sum() < batch.attention_mask.size
         enc = toy_encoder(vocab, layers=2, dropout=0.3)
-        made = {"linear": [], "dropout": [], "add": []}
+        ops = ("linear", "layer_norm", "gelu", "attention", "dropout")
+        made = {op: [] for op in (*ops, "add")}
 
         def recording(op, fn):
             def record(*args, **kwargs):
@@ -255,7 +256,7 @@ class TestActivationLifetime:
 
         rng = np.random.default_rng(4)
         with monkeypatch.context() as m:
-            for owner, name, op in ((T, "linear", "linear"), (T, "dropout", "dropout"), (T.Tensor, "__add__", "add")):
+            for owner, name, op in (*((T, op, op) for op in ops), (T.Tensor, "__add__", "add")):
                 m.setattr(owner, name, recording(op, getattr(owner, name)))
             gc.disable()
             try:
@@ -271,9 +272,13 @@ class TestActivationLifetime:
 
     def test_results_no_closure_reads_die_before_backward(self, monkeypatch):
         alive, _ = self._embed_and_block(monkeypatch, keep=None)
-        # linear: k, v, q, the attention output, the FFN's first and second layer; attention copies k and v into
-        # its padded grids, and only GELU reads the FFN's first layer
-        assert alive["linear"] == [False, False, False, False, True, False]
+        # linear: k, v, q, the attention output, the FFN's first and second layer; attention keeps q, k and v
+        # packed, GELU keeps the FFN's first layer, and the linears that read a layer norm's, attention's or
+        # GELU's result keep its recompute recipe instead
+        assert alive["linear"] == [True, True, True, False, True, False]
+        assert alive["layer_norm"] == [False, False]
+        assert alive["gelu"] == [False]
+        assert alive["attention"] == [False]
         assert alive["dropout"] == [False, False, False]  # the embeddings', attention's and the FFN's
         assert alive["add"] == [False, False, False]  # the embedding sum, the two residual sums
 

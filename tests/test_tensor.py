@@ -455,17 +455,20 @@ class TestGradientOwnership:
     """First gradient contributions are adopted or copied, never shared."""
 
     rng = np.random.default_rng(14)
+    shapes = [(2, 3)] * 6 + [(4, 2), (), (2, 3), (6,)]  # the constants of _loss
 
     def _leaves(self):
         shapes = {"x": (2, 3), "a": (2, 3), "b": (2, 3), "p": (2, 3), "r": (6,), "h": (4, 3), "w": (3, 2),
-                  "bias": (2,), "s": ()}
+                  "bias": (2,), "s": (), "u": (2, 3), "y": (2, 3), "z": (2, 3)}
         return {name: T.tensor(self.rng.normal(size=s), requires_grad=True) for name, s in shapes.items()}
 
     @staticmethod
     def _loss(t, c):
         """x + x; a + b of equal shapes; an interior node plus a leaf where the
         interior node feeds a second consumer; a reshape and a linear input
-        that each feed two consumers; a 0-d leaf."""
+        that each feed two consumers; a 0-d leaf; a GELU output (whose backward
+        scales its own gradient in place) that feeds an add with a leaf and a
+        second consumer, and one that feeds a reshape with two consumers."""
         pb = t["p"] * c[0]
         loss = ((t["x"] + t["x"]) * c[1]).sum()
         loss = loss + ((t["a"] + t["b"]) * c[2]).sum()
@@ -473,7 +476,11 @@ class TestGradientOwnership:
         shaped = t["r"].reshape(2, 3)
         loss = loss + (shaped * c[5]).sum() + (shaped * shaped).sum()
         loss = loss + (T.linear(t["h"], t["w"], t["bias"]) * c[6]).sum() + (t["h"] * t["h"]).sum()
-        return loss + T.softplus(t["s"]) * c[7]
+        loss = loss + T.softplus(t["s"]) * c[7]
+        act = T.gelu(t["u"])
+        loss = loss + ((act + t["y"]) * c[8]).sum() + (act * act).sum()
+        flat = T.gelu(t["z"]).reshape(6)
+        return loss + (flat * c[9]).sum() + (flat * flat).sum()
 
     def _run(self, leaves, micro_batches):
         for consts in micro_batches:
@@ -481,8 +488,7 @@ class TestGradientOwnership:
         return {name: t.grad for name, t in leaves.items()}
 
     def test_no_shared_buffers_and_zero_fill_values(self, monkeypatch):
-        shapes = [(2, 3)] * 6 + [(4, 2), ()]
-        micro_batches = [[self.rng.normal(size=s) for s in shapes] for _ in range(2)]
+        micro_batches = [[self.rng.normal(size=s) for s in self.shapes] for _ in range(2)]
         leaves = self._leaves()
         start = {name: t.data.copy() for name, t in leaves.items()}
         grads = self._run(leaves, micro_batches)
@@ -512,8 +518,7 @@ class TestGradientOwnership:
 
     def test_interior_vertices_match_zero_fill(self, monkeypatch):
         """Zero-filling every first gradient, the interior vertices' as well as the leaves', gives the same bits."""
-        shapes = [(2, 3)] * 6 + [(4, 2), ()]
-        micro_batches = [[self.rng.normal(size=s) for s in shapes] for _ in range(2)]
+        micro_batches = [[self.rng.normal(size=s) for s in self.shapes] for _ in range(2)]
         leaves = self._leaves()
         start = {name: t.data.copy() for name, t in leaves.items()}
         grads = self._run(leaves, micro_batches)
@@ -528,6 +533,47 @@ class TestGradientOwnership:
         expected = self._run({name: T.tensor(d, requires_grad=True) for name, d in start.items()}, micro_batches)
         for name in sorted(grads):
             np.testing.assert_array_equal(grads[name], expected[name], err_msg=name)
+
+
+class TestRecomputeRecipes:
+    """A recorded result's recompute recipe returns exactly its forward data; only a vertex carries one."""
+
+    rng = np.random.default_rng(22)
+
+    @staticmethod
+    def _rebuilds(out):
+        assert np.array_equal(out._vertex.recompute(), out.data)
+
+    def test_gelu(self):
+        x = np.concatenate([self.rng.normal(0.0, 3.0, 300), [0.0, -0.0, 5e-324, -40.0, 40.0]])
+        self._rebuilds(T.gelu(T.tensor(x, requires_grad=True)))
+
+    def test_layer_norm(self):
+        x, gain, bias = (T.tensor(self.rng.normal(size=s), requires_grad=r) for s, r in
+                         (((5, 8), False), ((8,), True), ((8,), True)))
+        self._rebuilds(T.layer_norm(x, gain, bias))
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("one_query", [False, True])
+    def test_attention(self, padded, one_query):
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool) if padded else np.ones((3, 4), bool)
+        tokens = int(mask.sum())
+        rows = (3 if one_query else tokens, tokens, tokens)
+        q, k, v = (T.tensor(self.rng.normal(size=(m, 6)), requires_grad=True) for m in rows)
+        self._rebuilds(T.attention(q, k, v, mask, 2))
+
+    def test_only_a_vertex_carries_a_recipe(self):
+        x = self.rng.normal(size=(4, 6))
+        assert T.gelu(T.tensor(x))._vertex is None  # a constant input records nothing
+        with T.no_grad():
+            assert T.gelu(T.tensor(x, requires_grad=True))._vertex is None
+        assert T.relu(T.tensor(x, requires_grad=True))._vertex.recompute is None  # relu gives none
+
+    def test_backward_drops_recipes(self):
+        x = T.tensor(self.rng.normal(size=(4, 6)), requires_grad=True)
+        out = T.gelu(x)
+        T.backward(out.sum())
+        assert out._vertex.recompute is None and x.grad is not None
 
 
 class TestComputationRecord:
@@ -831,15 +877,16 @@ class TestBitwiseFormulas:
         assert x.grad.tobytes() == (g * scale).tobytes()
 
     def test_gelu_in_place_equals_formula(self):
-        x = np.concatenate([self.rng.normal(0.0, 3.0, 4000), self.special[:4], [-40.0, 40.0]])
-        g = self.rng.normal(size=x.size)
-        t = T.tensor(x, requires_grad=True)
-        out = T.gelu(t)
-        T.backward((out * T.tensor(g)).sum())
-        cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
-        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
-        assert out.data.tobytes() == (x * cdf).tobytes()
-        assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
+        for draws in (4000, 2 * T._ERF_BLOCK + 5):  # the backward scales its gradient in one block, and in three
+            x = np.concatenate([self.rng.normal(0.0, 3.0, draws), self.special[:4], [-40.0, 40.0]])
+            g = self.rng.normal(size=x.size)
+            t = T.tensor(x, requires_grad=True)
+            out = T.gelu(t)
+            T.backward((out * T.tensor(g)).sum())
+            cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
+            pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+            assert out.data.tobytes() == (x * cdf).tobytes()
+            assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
 
 
 class TestGather:
